@@ -3,7 +3,7 @@
 Subcommands: check-cop, solve, interval-deletion, convex-bipartite,
 oracle (brute-force mirrors), and gen (instance generator). All labels
 in input and output are 1-based; exit status is 0 on YES, 1 on NO, and
-2 on usage or parse errors.
+2 on usage or parse errors and on any internal fault.
 """
 
 from __future__ import annotations
@@ -213,6 +213,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, GuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # an internal fault must not read as "NO"
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

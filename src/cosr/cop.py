@@ -168,35 +168,33 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
             children[best][slot].append(c)
         placed_comps.append(c)
 
-    def layout(c: int) -> list[int]:
+    def entries(blocks: list[int], kids: list[list[int]]) -> list[int]:
+        """Child components (as ``c``) and uncovered positions (as ``~p``)
+        of each block in turn, ordered within a block by lowest position."""
         out: list[int] = []
-        for bi, block in enumerate(comp_blocks[c]):
+        for block, chs in zip(blocks, kids):
             covered = 0
-            items: list[tuple[int, list[int]]] = []
-            for ch in children[c][bi]:
+            items: list[tuple[int, int]] = []
+            for ch in chs:
                 covered |= comp_union[ch]
-                sub = layout(ch)
-                items.append((min(sub), sub))
-            for p in _bits(block & ~covered):
-                items.append((p, [p]))
-            items.sort(key=lambda t: t[0])
-            for _, seq in items:
-                out.extend(seq)
+                items.append(((comp_union[ch] & -comp_union[ch]).bit_length() - 1, ch))
+            items.extend((p, ~p) for p in _bits(block & ~covered))
+            items.sort()
+            out.extend(item for _, item in items)
         return out
 
-    covered = 0
-    items: list[tuple[int, list[int]]] = []
-    for c in roots:
-        covered |= comp_union[c]
-        sub = layout(c)
-        items.append((min(sub), sub))
-    full = (1 << M.n) - 1
-    for p in _bits(full & ~covered):
-        items.append((p, [p]))
-    items.sort(key=lambda t: t[0])
+    # Expand components depth-first with an explicit stack: nesting can be
+    # as deep as the number of rows (a staircase of nested prefixes).
     positions: list[int] = []
-    for _, seq in items:
-        positions.extend(seq)
+    stack = [iter(entries([(1 << M.n) - 1], [roots]))]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif item < 0:
+            positions.append(~item)
+        else:
+            stack.append(iter(entries(comp_blocks[item], children[item])))
 
     order = tuple(M.col_ids[p] for p in positions)
     assert verify_cop(M, order), "recognizer produced an invalid certificate"

@@ -173,15 +173,26 @@ def interval_deletion(
     restricts the search to solutions avoiding them (None then means no
     such restricted solution exists).
     """
+    return _interval_deletion(G, d, node_limit, forbidden)[0]
+
+
+def _interval_deletion(
+    G: Graph, d: int, node_limit: int, forbidden: frozenset[int]
+) -> tuple[frozenset[int] | None, int, bool]:
+    """``interval_deletion`` plus the number of branch nodes it ran and
+    whether it fell back to the exhaustive subset search."""
     if d < 0:
-        return None
+        return None, 0, False
+    counter = [0]
     try:
-        solution = _branch(G, d, forbidden, [0], node_limit)
+        solution = _branch(G, d, forbidden, counter, node_limit)
+        fell_back = False
     except _NodeBudgetExceeded:
         solution = _subset_search(G, d, forbidden)
-    if solution is None:
-        return None
-    return minimalize_solution(G, solution)
+        fell_back = True
+    if solution is not None:
+        solution = minimalize_solution(G, solution)
+    return solution, counter[0], fell_back
 
 
 def minimalize_solution(G: Graph, deleted: frozenset[int]) -> frozenset[int]:

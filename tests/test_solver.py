@@ -276,3 +276,45 @@ def test_convex_bipartite_matches_matrix_setting():
             assert rep.feasible == (best is not None and len(best) <= d)
             if rep.feasible:
                 assert rep.solution <= side
+
+
+def complement_of_identity(k):
+    """Rows U minus {i}: a COP column order keeps at most two of them."""
+    rows = "".join("".join("0" if j == i else "1" for j in range(k)) + "\n" for i in range(k))
+    return parse_matrix(f"{k} {k}\n{rows}")
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_complement_of_identity_cores_solved_at_the_leaf(k):
+    M = complement_of_identity(k)
+    no = cos_r(M, k - 3)
+    assert not no.feasible
+    rep = cos_r(M, k - 2)
+    assert rep.feasible and len(rep.solution) == k - 2
+    assert verify_cop(delete_rows(M, rep.solution), rep.certificate)
+    assert rep.stats.leaves > 0 and rep.stats.leaf_nodes > 0
+    assert rep.stats.leaf_fallbacks == 0
+    assert brute_cosr(M, k - 3) is None
+    assert len(brute_cosr(M, k - 2)) == k - 2
+
+
+def test_leaf_fallback_is_counted(monkeypatch):
+    import cosr.solver
+
+    M = complement_of_identity(6)
+    want = cos_r(M, 4)
+    monkeypatch.setattr(cosr.solver, "_LEAF_NODE_LIMIT", 0)
+    for d in (3, 4):
+        rep = cos_r(M, d)
+        assert rep.feasible == (d == 4)
+        # every leaf spends its single node on the budget check, then
+        # switches to the exhaustive subset search
+        assert rep.stats.leaves > 0
+        assert rep.stats.leaf_fallbacks == rep.stats.leaf_nodes == rep.stats.leaves
+    assert len(rep.solution) == len(want.solution) == 4
+    assert verify_cop(delete_rows(M, rep.solution), rep.certificate)
+
+
+def test_stats_keys_keep_their_order():
+    keys = list(cos_r(COMPLEMENT_IDENT4, 2).stats.as_dict())
+    assert keys == ["internal_nodes", "leaves", "rule1", "rule2", "rule3", "leaf_nodes", "leaf_fallbacks"]
