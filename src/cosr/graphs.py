@@ -198,13 +198,45 @@ def find_c4(G: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _peo_holds(G: Graph, order: tuple[int, ...]) -> bool:
-    position = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = [u for u in G.neighbors(v) if position[u] > i]
-        if later and not G.is_clique(later):
-            return False
+def _mcs_order(adj: list[int], live: int) -> list[int]:
+    """Maximum-cardinality search over the ``live`` positions, reversed.
+
+    ``adj`` holds one neighbor mask per position. Ties go to the lowest
+    position. The result is a perfect elimination ordering exactly when
+    the subgraph induced on ``live`` is chordal.
+    """
+    weight = [0] * len(adj)
+    visit: list[int] = []
+    while live:
+        v = max(_bits(live), key=weight.__getitem__)
+        visit.append(v)
+        live &= ~(1 << v)
+        for u in _bits(adj[v] & live):
+            weight[u] += 1
+    visit.reverse()
+    return visit
+
+
+def _is_peo(adj: list[int], order: list[int]) -> bool:
+    """True iff the later neighbors of every position in ``order`` form a clique."""
+    later = 0
+    for v in reversed(order):
+        nbrs = adj[v] & later
+        for u in _bits(nbrs):
+            if nbrs & ~adj[u] & ~(1 << u):
+                return False
+        later |= 1 << v
     return True
+
+
+def _clique_masks(adj: list[int], peo: list[int]) -> list[int]:
+    """The maximal cliques of a chordal graph, given a perfect elimination ordering."""
+    later = 0
+    candidates = set()
+    for v in reversed(peo):
+        candidates.add(adj[v] & later | 1 << v)
+        later |= 1 << v
+    return [c for c in candidates if not any(c != o and c & o == c for o in candidates)]
 
 
 def is_chordal(G: Graph) -> tuple[int, ...] | None:
@@ -215,35 +247,18 @@ def is_chordal(G: Graph) -> tuple[int, ...] | None:
     broken toward the smallest label, so chordal graphs always map to the
     same ordering.
     """
-    if G.n == 0:
-        return ()
-    weight = {v: 0 for v in G.vertices}
-    visit: list[int] = []
-    remaining = set(G.vertices)
-    while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
-        visit.append(v)
-        remaining.discard(v)
-        for u in G.neighbors(v):
-            if u in remaining:
-                weight[u] += 1
-    order = tuple(reversed(visit))
-    return order if _peo_holds(G, order) else None
+    order = _mcs_order(G._adj, (1 << G.n) - 1)
+    if not _is_peo(G._adj, order):
+        return None
+    return tuple(G.vertices[i] for i in order)
 
 
 def maximal_cliques_chordal(G: Graph, peo: tuple[int, ...]) -> list[frozenset[int]]:
     """All maximal cliques of a chordal graph, via its elimination order."""
-    if sorted(peo) != list(G.vertices) or not _peo_holds(G, peo):
+    order = [G._index[v] for v in peo] if sorted(peo) == list(G.vertices) else None
+    if order is None or not _is_peo(G._adj, order):
         raise ContractError("not a perfect elimination ordering of this graph")
-    position = {v: i for i, v in enumerate(peo)}
-    candidates: set[frozenset[int]] = set()
-    for i, v in enumerate(peo):
-        later = {u for u in G.neighbors(v) if position[u] > i}
-        candidates.add(frozenset(later | {v}))
-    cliques = [
-        c for c in candidates if not any(c < other for other in candidates)
-    ]
-    return sorted(cliques, key=sorted)
+    return sorted((G.labels(c) for c in _clique_masks(G._adj, order)), key=sorted)
 
 
 def is_simplicial(G: Graph, v: int) -> bool:

@@ -6,7 +6,10 @@ cliques) has the consecutive ones property. The deletion solver is an
 exact branch-and-search: it branches over an obstruction witness (a
 shortest chordless cycle, or the paths of an asteroidal triple) and
 falls back to exhaustive subset search if the branch tree outgrows a
-node budget, so the answer is exact regardless of input shape.
+node budget, so the answer is exact regardless of input shape. The
+search works on the input graph's adjacency masks and a mask of the
+vertex positions still present; positions ascend with labels, so every
+"smallest label first" tie-break is a "lowest bit first" one.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from itertools import combinations
 
 from .cop import cop_order
 from .errors import ContractError
-from .graphs import Graph, is_chordal, maximal_cliques_chordal
-from .matrix import BinaryMatrix
+# ``is_chordal`` stays importable from here: the benchmark's tracer wraps
+# ``cosr.interval.is_chordal`` by name.
+from .graphs import Graph, _clique_masks, _is_peo, _mcs_order, is_chordal  # noqa: F401
+from .matrix import BinaryMatrix, _bits
 
 
 def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
@@ -35,31 +40,45 @@ def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
     )
 
 
+def _chordal_interval(adj: list[int], live: int) -> tuple[bool, bool]:
+    """Whether the subgraph induced on ``live`` is chordal, and whether it
+    is interval, from one maximum-cardinality search."""
+    order = _mcs_order(adj, live)
+    if not _is_peo(adj, order):
+        return False, False
+    rows = dict.fromkeys(order, 0)
+    cliques = _clique_masks(adj, order)
+    for j, clique in enumerate(cliques):
+        for v in _bits(clique):
+            rows[v] |= 1 << j
+    M = BinaryMatrix(row_ids=tuple(rows), col_ids=tuple(range(len(cliques))), rows=tuple(rows.values()))
+    return True, cop_order(M) is not None
+
+
+def _mask(G: Graph, labels) -> int:
+    """Positions of the given labels; labels outside ``G`` are ignored."""
+    return sum(1 << G._index[v] for v in set(labels) if v in G._index)
+
+
 def is_interval(G: Graph) -> bool:
     """True iff ``G`` is an interval graph."""
-    peo = is_chordal(G)
-    if peo is None:
-        return False
-    cliques = maximal_cliques_chordal(G, peo)
-    return cop_order(clique_matrix(G, cliques)) is not None
+    return _chordal_interval(G._adj, (1 << G.n) - 1)[1]
 
 
-def _bfs_path(G: Graph, start: int, goal: int, banned: set[int]) -> list[int] | None:
-    """Shortest start-goal path avoiding ``banned``; ties prefer small labels."""
-    if start in banned or goal in banned:
-        return None
-    parent: dict[int, int | None] = {start: None}
+def _bfs_path(adj: list[int], allowed: int, start: int, goal: int) -> list[int] | None:
+    """Shortest start-goal path inside ``allowed``; ties prefer low positions."""
+    parent = {start: start}
+    seen = 1 << start
     frontier = [start]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for w in sorted(G.neighbors(u)):
-                if w in banned or w in parent:
-                    continue
+            for w in _bits(adj[u] & allowed & ~seen):
                 parent[w] = u
+                seen |= 1 << w
                 if w == goal:
                     path = [w]
-                    while parent[path[-1]] is not None:
+                    while path[-1] != start:
                         path.append(parent[path[-1]])
                     return path[::-1]
                 nxt.append(w)
@@ -67,53 +86,66 @@ def _bfs_path(G: Graph, start: int, goal: int, banned: set[int]) -> list[int] | 
     return None
 
 
-def _shortest_hole(G: Graph) -> list[int] | None:
+def _shortest_hole(adj: list[int], live: int) -> list[int] | None:
     """A shortest chordless cycle of length >= 4, in cyclic order.
 
     For every vertex v and non-adjacent pair x, y of its neighbors, the
     shortest x-y path avoiding the rest of N[v] closes a chordless cycle
-    through v; minimizing over all choices yields a shortest hole.
+    through v; minimizing over all choices yields a shortest hole. The
+    first one found is kept among equals, so the scan stops at the first
+    4-cycle: no hole is shorter, and only a strictly shorter cycle would
+    replace it.
     """
     best: list[int] | None = None
-    for v in G.vertices:
-        nbrs = sorted(G.neighbors(v))
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1 :]:
-                if G.has_edge(x, y):
-                    continue
-                banned = (set(nbrs) | {v}) - {x, y}
-                path = _bfs_path(G, x, y, banned)
-                if path is None:
-                    continue
-                cycle = [v] + path
-                if best is None or len(cycle) < len(best):
-                    best = cycle
+    for v in _bits(live):
+        nbrs = adj[v] & live
+        for x in _bits(nbrs):
+            for y in _bits(nbrs & ~adj[x] & ~((2 << x) - 1)):
+                path = _bfs_path(adj, (live & ~nbrs & ~(1 << v)) | 1 << x | 1 << y, x, y)
+                if path is not None and (best is None or len(path) + 1 < len(best)):
+                    best = [v] + path
+                    if len(best) == 4:
+                        return best
     return best
 
 
-def _asteroidal_witness(G: Graph) -> frozenset[int] | None:
+def _asteroidal_witness(adj: list[int], live: int) -> int | None:
     """Vertices of an asteroidal triple plus its three connecting paths.
 
     A triple of pairwise non-adjacent vertices is asteroidal when every
     pair is joined by a path avoiding the closed neighborhood of the
     third; interval graphs contain none, so any feasible deletion set
-    must meet the witness vertex set returned here.
+    must meet the witness vertex set returned here. Triples are tried in
+    lexicographic order of position.
+
+    For a and b outside N[c], an a-b path avoiding N[c] exists iff a and
+    b lie in one component of G - N[c]. So one component labelling per
+    vertex decides every triple, and paths are built only for the triple
+    returned.
     """
-    vs = G.vertices
-    closed = {v: G.neighbors(v) | {v} for v in vs}
-    for a, b, c in combinations(vs, 3):
-        if G.has_edge(a, b) or G.has_edge(a, c) or G.has_edge(b, c):
-            continue
-        p_ab = _bfs_path(G, a, b, set(closed[c]))
-        if p_ab is None:
-            continue
-        p_ac = _bfs_path(G, a, c, set(closed[b]))
-        if p_ac is None:
-            continue
-        p_bc = _bfs_path(G, b, c, set(closed[a]))
-        if p_bc is None:
-            continue
-        return frozenset(p_ab) | frozenset(p_ac) | frozenset(p_bc)
+    component = [[0] * len(adj) for _ in adj]  # component[z][u]: u's component of G - N[z]
+    for z in _bits(live):
+        rest = live & ~adj[z] & ~(1 << z)
+        while rest:
+            reach = frontier = rest & -rest
+            while frontier:
+                grow = 0
+                for u in _bits(frontier):
+                    grow |= adj[u]
+                frontier = grow & rest & ~reach
+                reach |= frontier
+            for u in _bits(reach):
+                component[z][u] = reach
+            rest &= ~reach
+    for a in _bits(live):
+        for b in _bits(live & ~adj[a] & ~((2 << a) - 1)):
+            for c in _bits(live & ~adj[a] & ~adj[b] & ~((2 << b) - 1)):
+                if component[c][a] >> b & 1 and component[b][a] >> c & 1 and component[a][b] >> c & 1:
+                    witness = 0
+                    for s, t, z in ((a, b, c), (a, c, b), (b, c, a)):
+                        for v in _bfs_path(adj, live & ~adj[z] & ~(1 << z), s, t):
+                            witness |= 1 << v
+                    return witness
     return None
 
 
@@ -122,36 +154,39 @@ class _NodeBudgetExceeded(Exception):
 
 
 def _branch(
-    G: Graph, d: int, forbidden: frozenset[int], counter: list[int], limit: int
-) -> frozenset[int] | None:
+    adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int
+) -> int | None:
     counter[0] += 1
     if counter[0] > limit:
         raise _NodeBudgetExceeded
-    if is_interval(G):
-        return frozenset()
+    chordal, interval = _chordal_interval(adj, live)
+    if interval:
+        return 0
     if d <= 0:
         return None
-    if is_chordal(G) is None:
-        witness = _shortest_hole(G)
-        assert witness is not None, "non-chordal graph must contain a hole"
-    else:
-        witness = _asteroidal_witness(G)
+    if chordal:
+        witness = _asteroidal_witness(adj, live)
         assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"
+    else:
+        hole = _shortest_hole(adj, live)
+        assert hole is not None, "non-chordal graph must contain a hole"
+        witness = sum(1 << v for v in hole)
     # Any feasible deletion set must meet the witness; one avoiding the
     # forbidden vertices must meet its allowed part.
-    for v in sorted(set(witness) - forbidden):
-        sub = _branch(G.without({v}), d - 1, forbidden, counter, limit)
+    for v in _bits(witness & ~forbidden):
+        sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit)
         if sub is not None:
-            return sub | {v}
+            return sub | 1 << v
     return None
 
 
-def _subset_search(G: Graph, d: int, forbidden: frozenset[int]) -> frozenset[int] | None:
-    allowed = [v for v in G.vertices if v not in forbidden]
+def _subset_search(adj: list[int], live: int, d: int, forbidden: int) -> int | None:
+    allowed = list(_bits(live & ~forbidden))
     for k in range(d + 1):
         for combo in combinations(allowed, k):
-            if is_interval(G.without(combo)):
-                return frozenset(combo)
+            drop = sum(1 << v for v in combo)
+            if _chordal_interval(adj, live & ~drop)[1]:
+                return drop
     return None
 
 
@@ -183,15 +218,16 @@ def _interval_deletion(
     whether it fell back to the exhaustive subset search."""
     if d < 0:
         return None, 0, False
+    everything, banned = (1 << G.n) - 1, _mask(G, forbidden)
     counter = [0]
     try:
-        solution = _branch(G, d, forbidden, counter, node_limit)
+        solution = _branch(G._adj, everything, d, banned, counter, node_limit)
         fell_back = False
     except _NodeBudgetExceeded:
-        solution = _subset_search(G, d, forbidden)
+        solution = _subset_search(G._adj, everything, d, banned)
         fell_back = True
     if solution is not None:
-        solution = minimalize_solution(G, solution)
+        solution = minimalize_solution(G, G.labels(solution))
     return solution, counter[0], fell_back
 
 
@@ -203,10 +239,15 @@ def minimalize_solution(G: Graph, deleted: frozenset[int]) -> frozenset[int]:
     would do. Requires that ``G`` minus ``deleted`` is already interval.
     """
     deleted = frozenset(deleted)
-    if not is_interval(G.without(deleted)):
+    everything = (1 << G.n) - 1
+
+    def interval_without(drop) -> bool:
+        return _chordal_interval(G._adj, everything & ~_mask(G, drop))[1]
+
+    if not interval_without(deleted):
         raise ContractError("deletion set does not leave an interval graph")
     current = set(deleted)
     for v in sorted(deleted, reverse=True):
-        if is_interval(G.without(current - {v})):
+        if interval_without(current - {v}):
             current.discard(v)
     return frozenset(current)
