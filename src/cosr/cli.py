@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .errors import GuardError, ParseError
 from .graphs import Graph, parse_graph
@@ -216,6 +217,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except Exception as exc:  # an internal fault must not read as "NO"
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_ERROR
 
 
