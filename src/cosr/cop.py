@@ -178,23 +178,24 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
             for ch in chs:
                 covered |= comp_union[ch]
                 items.append(((comp_union[ch] & -comp_union[ch]).bit_length() - 1, ch))
+            if not items:  # already in position order
+                out.extend([~p for p in _bits(block)])
+                continue
             items.extend((p, ~p) for p in _bits(block & ~covered))
             items.sort()
-            out.extend(item for _, item in items)
+            out.extend([item for _, item in items])
         return out
 
     # Expand components depth-first with an explicit stack: nesting can be
     # as deep as the number of rows (a staircase of nested prefixes).
     positions: list[int] = []
-    stack = [iter(entries([(1 << M.n) - 1], [roots]))]
+    stack = entries([(1 << M.n) - 1], [roots])[::-1]
     while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
-        elif item < 0:
+        item = stack.pop()
+        if item < 0:
             positions.append(~item)
         else:
-            stack.append(iter(entries(comp_blocks[item], children[item])))
+            stack.extend(reversed(entries(comp_blocks[item], children[item])))
 
     order = tuple(M.col_ids[p] for p in positions)
     assert verify_cop(M, order), "recognizer produced an invalid certificate"

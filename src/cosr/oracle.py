@@ -25,7 +25,7 @@ _MAX_COSR_SUBSETS = 500_000
 _MAX_CLIQUE_VERTICES = 16
 
 # Distinct row patterns whose consecutive-ones verdicts are kept between
-# calls; the oldest verdicts are dropped beyond this many.
+# calls; beyond this many, the least recently used verdict is dropped.
 _COP_CACHE_SIZE = 1024
 
 
