@@ -11,7 +11,6 @@ forever.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -23,10 +22,6 @@ from .matrix import BinaryMatrix, delete_rows
 _MAX_BRUTE_COLS = 9
 _MAX_COSR_SUBSETS = 500_000
 _MAX_CLIQUE_VERTICES = 16
-
-# Distinct row patterns whose consecutive-ones verdicts are kept between
-# calls; beyond this many, the least recently used verdict is dropped.
-_COP_CACHE_SIZE = 1024
 
 
 def _order_search(n: int, masks: list[int], want_order: bool) -> tuple[int, ...] | None:
@@ -80,16 +75,14 @@ def _order_search(n: int, masks: list[int], want_order: bool) -> tuple[int, ...]
     return extend()
 
 
-def _has_cop(n: int, rows: tuple[int, ...]) -> bool:
+def _has_cop(n: int, rows: tuple[int, ...], verdicts: dict[frozenset[int], bool]) -> bool:
     # Consecutive-ones feasibility depends only on the distinct row
-    # patterns with at least two 1s, so verdicts are shared across
-    # deletion subsets.
-    return _cop_verdict(n, frozenset(mask for mask in rows if mask.bit_count() >= 2))
-
-
-@lru_cache(maxsize=_COP_CACHE_SIZE)
-def _cop_verdict(n: int, patterns: frozenset[int]) -> bool:
-    return _order_search(n, sorted(patterns), want_order=False) is not None
+    # patterns with at least two 1s, so one call's deletion subsets share
+    # their verdicts through ``verdicts``.
+    key = frozenset(mask for mask in rows if mask.bit_count() >= 2)
+    if key not in verdicts:
+        verdicts[key] = _order_search(n, sorted(key), want_order=False) is not None
+    return verdicts[key]
 
 
 def brute_cop(M: BinaryMatrix) -> tuple[int, ...] | None:
@@ -112,10 +105,11 @@ def brute_cosr(M: BinaryMatrix, d: int) -> frozenset[int] | None:
     if total > _MAX_COSR_SUBSETS:
         raise GuardError(f"brute_cosr refuses {total} deletion subsets")
     labels = sorted(M.row_ids)
+    verdicts: dict[frozenset[int], bool] = {}
     for k in range(min(d, M.m) + 1):
         for combo in combinations(labels, k):
             remainder = delete_rows(M, combo)
-            if _has_cop(remainder.n, remainder.rows):
+            if _has_cop(remainder.n, remainder.rows, verdicts):
                 return frozenset(combo)
     return None
 

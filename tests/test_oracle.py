@@ -114,12 +114,13 @@ def test_random_instance_golden_matrix():
     assert random_instance(7, 5, 5, 0.5).rows == (11, 27, 23, 17, 26)
 
 
-def test_cop_cache_stays_bounded():
-    from cosr.oracle import _COP_CACHE_SIZE, _cop_verdict
+def test_brute_cosr_keeps_no_state_between_calls():
+    import cosr.oracle as oracle
 
-    _cop_verdict.cache_clear()
+    def sizes():
+        return {k: len(v) for k, v in vars(oracle).items() if isinstance(v, (dict, list, set))}
+
+    before = sizes()
     for seed in range(40):
         brute_cosr(random_instance(seed, 8, 7, 0.5), 3)
-    info = _cop_verdict.cache_info()
-    assert info.misses > _COP_CACHE_SIZE
-    assert info.currsize <= _COP_CACHE_SIZE
+    assert sizes() == before
