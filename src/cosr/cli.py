@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
 from .errors import GuardError, ParseError
 from .graphs import Graph, parse_graph
@@ -216,6 +215,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # an internal fault must not read as "NO"
+        import traceback  # only needed here; importing it costs ~0.1 MB
+
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_ERROR
