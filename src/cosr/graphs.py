@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ContractError, ParseError
-from .matrix import BinaryMatrix, SetSystem, _bits, _logical_lines, support
+from .matrix import BinaryMatrix, _bits, _logical_lines, support
 
 
 class Graph:
@@ -22,7 +22,6 @@ class Graph:
         self,
         vertices: Iterable[int],
         edges: Iterable[tuple[int, int]] = (),
-        origin: dict[int, int] | None = None,
     ):
         self._vertices = tuple(sorted(set(vertices)))
         self._index = {v: i for i, v in enumerate(self._vertices)}
@@ -34,7 +33,6 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
             self._adj[self._index[u]] |= 1 << self._index[v]
             self._adj[self._index[v]] |= 1 << self._index[u]
-        self.origin = dict(origin) if origin is not None else None
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -56,9 +54,6 @@ class Graph:
         mask = self._adj[self._require(v)]
         return frozenset(self._vertices[i] for i in _bits(mask))
 
-    def degree(self, v: int) -> int:
-        return self._adj[self._require(v)].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for i, u in enumerate(self._vertices):
@@ -75,21 +70,11 @@ class Graph:
         for v in keep:
             self._require(v)
         edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
-        origin = None
-        if self.origin is not None:
-            origin = {v: r for v, r in self.origin.items() if v in keep}
-        return Graph(keep, edges, origin)
+        return Graph(keep, edges)
 
     def without(self, drop: Iterable[int]) -> "Graph":
         drop = set(drop)
         return self.subgraph(set(self._vertices) - drop)
-
-    def is_clique(self, members: Iterable[int]) -> bool:
-        idxs = [self._require(v) for v in set(members)]
-        mask = 0
-        for i in idxs:
-            mask |= 1 << i
-        return all(mask & ~(self._adj[i] | (1 << i)) == 0 for i in idxs)
 
     def common_neighbor_mask(self, members: Iterable[int]) -> int:
         mask = (1 << self.n) - 1
@@ -137,7 +122,7 @@ def derived_graph(M: BinaryMatrix) -> Graph:
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 edges.append((members[a], members[b]))
-    return Graph(M.row_ids, edges, origin={label: label for label in M.row_ids})
+    return Graph(M.row_ids, edges)
 
 
 def vert(M: BinaryMatrix, col: int) -> frozenset[int]:
@@ -145,28 +130,27 @@ def vert(M: BinaryMatrix, col: int) -> frozenset[int]:
     return support(M, col)
 
 
-def find_helly_violation(S: SetSystem) -> HellyViolation | None:
+def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
     """First row triple (in matrix row order) violating H1 or H2.
 
-    H1 is tested before H2 on each triple; triples are scanned in
-    lexicographic order of row position so the result is deterministic.
+    Each row is its column mask. H1 is tested before H2 on each triple;
+    triples are scanned in lexicographic order of row position so the
+    result is deterministic.
     """
-    labels = list(S.sets)
-    sets = S.sets
-    for i in range(len(labels)):
-        a = sets[labels[i]]
-        for j in range(i + 1, len(labels)):
-            b = sets[labels[j]]
+    rows = M.rows
+    for i, a in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            b = rows[j]
             if not a & b:
                 continue
-            for k in range(j + 1, len(labels)):
-                c = sets[labels[k]]
+            for k in range(j + 1, len(rows)):
+                c = rows[k]
                 if not (a & c and b & c):
                     continue
-                triple = (labels[i], labels[j], labels[k])
+                triple = (M.row_ids[i], M.row_ids[j], M.row_ids[k])
                 if not a & b & c:
                     return HellyViolation(triple, "H1")
-                if not (a <= b | c or b <= a | c or c <= a | b):
+                if a & ~(b | c) and b & ~(a | c) and c & ~(a | b):
                     return HellyViolation(triple, "H2")
     return None
 
@@ -263,7 +247,8 @@ def maximal_cliques_chordal(G: Graph, peo: tuple[int, ...]) -> list[frozenset[in
 
 def is_simplicial(G: Graph, v: int) -> bool:
     """True iff the neighborhood of ``v`` induces a clique."""
-    return G.is_clique(G.neighbors(v))
+    nbrs = G._adj[G._require(v)]
+    return all(nbrs & ~(G._adj[u] | 1 << u) == 0 for u in _bits(nbrs))
 
 
 def find_uncovered_clique(

@@ -91,9 +91,6 @@ class SetSystem:
     universe: frozenset[int]
     sets: dict[int, frozenset[int]]
 
-    def row_labels(self) -> tuple[int, ...]:
-        return tuple(self.sets)
-
 
 def _bits(mask: int):
     while mask:
@@ -116,8 +113,9 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
     Comment lines start with '#'. The first non-comment line is "m n";
     then m rows follow, each either n whitespace-separated 0/1 tokens or
-    a contiguous digit string of length n. Labels are assigned 1-based
-    in file order.
+    a contiguous digit string of length n. When n is 0 a row is a blank
+    line, and blank lines are skipped, so no row lines are read. Labels
+    are assigned 1-based in file order.
     """
     lines = _logical_lines(text)
     try:
@@ -128,8 +126,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ParseError(header_no, f"expected header 'm n', got {header!r}")
     m, n = int(parts[0]), int(parts[1])
-    rows: list[int] = []
-    for _ in range(m):
+    rows: list[int] = [] if n else [0] * m
+    while len(rows) < m:
         try:
             no, line = next(lines)
         except StopIteration:

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .graphs import Graph, derived_graph, find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph
-# ``interval_deletion`` stays importable from here: the benchmark's tracer
-# wraps ``cosr.solver.interval_deletion`` by name.
+# ``interval_deletion`` and ``set_system`` stay importable from here: the
+# benchmark's tracer wraps ``cosr.solver.interval_deletion`` and
+# ``cosr.solver.set_system`` by name.
 from .interval import _interval_deletion, interval_deletion  # noqa: F401
 from .cop import cop_order, verify_cop
-from .matrix import BinaryMatrix, augment, delete_rows, set_system
+from .matrix import BinaryMatrix, augment, delete_rows, set_system  # noqa: F401
 
 
 # Branch nodes a leaf may spend before interval deletion switches to its
@@ -103,16 +104,18 @@ def _solve(
     budget: int,
     stats: SolveStats,
     on_leaf: Callable[[BinaryMatrix, int], None] | None,
-) -> frozenset[int] | None:
-    # Step 0: done if the matrix already has the property.
-    if budget >= 0 and cop_order(matrix) is not None:
-        return accumulated
+) -> tuple[frozenset[int], tuple[int, ...]] | None:
+    """The deleted rows and the survivor's column order, or None."""
     # Step 1: budget exhausted.
     if budget < 0:
         return None
+    # Step 0: done if the matrix already has the property.
+    order = cop_order(matrix)
+    if order is not None:
+        return accumulated, order
 
     branch_rows: Iterable[int] | None = None
-    violation = find_helly_violation(set_system(matrix))
+    violation = find_helly_violation(matrix)
     if violation is not None:
         stats.rule1 += 1
         branch_rows = violation.rows
@@ -164,11 +167,12 @@ def _solve(
     removed, nodes, fell_back = _interval_deletion(graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows)
     stats.leaf_nodes += nodes
     stats.leaf_fallbacks += fell_back
-    # Step 6: map deleted vertices back to rows of the original matrix.
+    # Step 6: derived-graph vertices carry the row labels, so ``removed``
+    # already names rows of the original matrix.
     if removed is None:
         return None
     assert not removed & aug.identity_rows
-    return accumulated | {graph.origin[v] for v in removed}
+    return accumulated | removed, cop_order(delete_rows(matrix, removed))
 
 
 def cos_r(
@@ -186,13 +190,16 @@ def cos_r(
     if d < 0:
         raise ValueError("deletion budget must be non-negative")
     stats = SolveStats()
-    solution = _solve(M, frozenset(), d, stats, on_leaf)
-    if solution is None:
+    found = _solve(M, frozenset(), d, stats, on_leaf)
+    if found is None:
         return SolveReport(False, None, None, stats)
+    solution, certificate = found
     assert len(solution) <= d
-    survivor = delete_rows(M, solution)
-    certificate = cop_order(survivor)
-    assert certificate is not None and verify_cop(survivor, certificate)
+    # The certificate is the one ``cop_order(delete_rows(M, solution))``
+    # would give: every node's matrix equals ``delete_rows(M, accumulated)``
+    # (same labels, same order, same masks), and ``cop_order`` is a
+    # function of that value.
+    assert certificate is not None and verify_cop(delete_rows(M, solution), certificate)
     return SolveReport(True, solution, certificate, stats)
 
 

@@ -80,7 +80,11 @@ def corpus_run():
                 verdict_mismatches.append((idx, d))
             if report.feasible:
                 survivor = delete_rows(M, report.solution)
-                if len(report.solution) > d or not verify_cop(survivor, report.certificate):
+                if (
+                    len(report.solution) > d
+                    or not verify_cop(survivor, report.certificate)
+                    or report.certificate != cop_order(survivor)
+                ):
                     bad_solutions.append((idx, d))
             if report.stats.internal_nodes > (4 ** (d + 1) - 1) // 3:
                 bound_breaches.append((idx, d, report.stats.internal_nodes))
@@ -144,8 +148,8 @@ def test_criterion_2_cop_recognizer_exact(recognizer_run):
         cop_order(M1) is None
         and cop_order(M2) is None
         and cop_order(COMPLEMENT_IDENT3) is None
-        and find_helly_violation(set_system(M1)).kind == "H1"
-        and find_helly_violation(set_system(M2)).kind == "H2"
+        and find_helly_violation(M1).kind == "H1"
+        and find_helly_violation(M2).kind == "H2"
     )
     ok = not data["disagreements"] and not data["bad_certificates"] and anchors_ok
     print(
@@ -185,7 +189,7 @@ def test_criterion_3_intersection_preserving_assignments(recognizer_run):
 def _leaf_check(rows, n, budget, matrix):
     """Returns the list of violated leaf conditions for one leaf."""
     failures = []
-    if find_helly_violation(set_system(matrix)) is not None:
+    if find_helly_violation(matrix) is not None:
         failures.append("a")
     c4_free = True
     chordal = True

@@ -120,6 +120,16 @@ def test_gen_writes_matrix(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_gen_zero_columns_solves(capsys, monkeypatch):
+    import io
+
+    assert run(["gen", "--rows", "3", "--cols", "0", "--density", "0.5", "--seed", "1"]) == 0
+    text = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["solve", "--d", "0", "-"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "YES"
+
+
 def test_gen_deterministic(capsys):
     args = ["gen", "--rows", "6", "--cols", "6", "--density", "0.3", "--seed", "42"]
     assert run(args) == 0

@@ -116,7 +116,7 @@ def test_cop_implies_no_helly_violation():
     for seed in range(120):
         M = random_instance(seed, 6, 6, 0.5)
         if cop_order(M) is not None:
-            assert find_helly_violation(set_system(M)) is None
+            assert find_helly_violation(M) is None
 
 
 def test_cop_order_deterministic():

@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from cosr import (
+    BinaryMatrix,
     ContractError,
     Graph,
     ParseError,
+    delete_rows,
     derived_graph,
     find_c4,
     find_helly_violation,
@@ -16,7 +19,6 @@ from cosr import (
     pair_subgraph,
     parse_graph,
     serialize_graph,
-    set_system,
     vert,
     parse_matrix,
 )
@@ -63,11 +65,49 @@ def test_vert_examples():
 
 
 def test_helly_violation_kinds():
-    v1 = find_helly_violation(set_system(M1))
+    v1 = find_helly_violation(M1)
     assert v1 is not None and v1.rows == (1, 2, 3) and v1.kind == "H1"
-    v2 = find_helly_violation(set_system(M2))
+    v2 = find_helly_violation(M2)
     assert v2 is not None and v2.rows == (1, 2, 3) and v2.kind == "H2"
-    assert find_helly_violation(set_system(IDENT3)) is None
+    assert find_helly_violation(IDENT3) is None
+
+
+def _helly_by_sets(M):
+    """The frozenset scan over row sets that the mask scan replaced."""
+    labels = list(M.row_ids)
+    sets = {r: M.row_set(r) for r in labels}
+    for i, j, k in combinations(range(len(labels)), 3):
+        triple = (labels[i], labels[j], labels[k])
+        a, b, c = (sets[r] for r in triple)
+        if not (a & b and a & c and b & c):
+            continue
+        if not a & b & c:
+            return triple, "H1"
+        if not (a <= b | c or b <= a | c or c <= a | b):
+            return triple, "H2"
+    return None
+
+
+def test_helly_mask_scan_matches_set_scan():
+    rng = random.Random(6)
+    matrices = []
+    for seed in range(150):
+        M = random_instance(seed + 3000, 3 + seed % 8, 2 + seed % 7, 0.3 + 0.1 * (seed % 5))
+        matrices.append(M)
+        drop = rng.sample(M.row_ids, rng.randint(1, M.m - 1))
+        matrices.append(delete_rows(M, drop))
+    for seed in range(150):
+        m, n = 3 + seed % 7, 2 + seed % 6
+        row_ids = tuple(rng.sample(range(-20, 40), m))
+        rows = tuple(rng.getrandbits(n) for _ in range(m))
+        matrices.append(BinaryMatrix(row_ids, tuple(range(1, n + 1)), rows))
+    kinds = set()
+    for M in matrices:
+        got = find_helly_violation(M)
+        want = _helly_by_sets(M)
+        assert (None if got is None else (got.rows, got.kind)) == want, M
+        kinds.add(None if got is None else got.kind)
+    assert kinds == {None, "H1", "H2"}
 
 
 def test_pair_subgraph_examples():
@@ -160,7 +200,7 @@ def test_find_uncovered_clique_core_is_inclusion_minimal():
     # clique uncovered while keeping rules 1 and 2 silent (k >= 4)
     cases = [_complement_identity(k) for k in (4, 5, 6)]
     for M in cases:
-        assert find_helly_violation(set_system(M)) is None
+        assert find_helly_violation(M) is None
         got = find_uncovered_clique(M)
         assert got is not None
         clique, core = got
@@ -179,7 +219,7 @@ def test_pair_subgraphs_of_helly_clean_matrices():
     checked = 0
     for seed in range(400):
         M = random_instance(seed, 4 + seed % 4, 4 + seed % 5, 0.45)
-        if find_helly_violation(set_system(M)) is not None:
+        if find_helly_violation(M) is not None:
             continue
         for i, ci in enumerate(M.col_ids):
             for cj in M.col_ids[i + 1 :]:
@@ -196,7 +236,7 @@ def test_maximal_cliques_covered_by_column_pairs_when_helly_clean():
     checked = 0
     for seed in range(300):
         M = random_instance(seed + 500, 4 + seed % 5, 4 + seed % 4, 0.4)
-        if find_helly_violation(set_system(M)) is not None:
+        if find_helly_violation(M) is not None:
             continue
         G = derived_graph(M)
         zero_rows = {r for r, mask in zip(M.row_ids, M.rows) if mask == 0}
@@ -219,7 +259,7 @@ def test_pair_clique_union_equals_all_maximal_cliques():
     checked = 0
     for seed in range(400):
         M = random_instance(seed + 900, 4 + seed % 6, 4 + seed % 4, 0.45)
-        if M.n < 2 or find_helly_violation(set_system(M)) is not None:
+        if M.n < 2 or find_helly_violation(M) is not None:
             continue
         G = derived_graph(M)
         candidates = set()

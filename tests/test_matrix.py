@@ -141,8 +141,9 @@ def test_set_system_restriction_under_deletion():
 
 
 def test_serialize_parse_round_trip():
-    for seed in range(15):
-        M = random_instance(seed, 5, 6, 0.4)
+    sizes = [(5, 6)] * 15 + [(3, 0), (0, 3), (0, 0), (4, 5)]
+    for seed, (m, n) in enumerate(sizes):
+        M = random_instance(seed, m, n, 0.4)
         assert parse_matrix(serialize_matrix(M)) == M
 
 
@@ -163,6 +164,9 @@ def test_parse_edge_cases():
         parse_matrix("-1 2\n")
     zero_rows = parse_matrix("0 3\n")
     assert zero_rows.m == 0 and zero_rows.n == 3
+    assert parse_matrix("3 0\n").rows == (0, 0, 0)
+    with pytest.raises(ParseError, match="trailing content"):
+        parse_matrix("2 0\n1\n")
     padded = parse_matrix("\n\n  2 2  \n\n 1 0 \n01\n\n# done\n")
     assert padded.rows == (1, 2)
 

@@ -15,7 +15,6 @@ from cosr import (
     find_uncovered_clique,
     half_adjacency,
     parse_matrix,
-    set_system,
     verify_cop,
     vert,
 )
@@ -80,7 +79,7 @@ def test_branch_candidates_hit_every_feasible_solution():
     # the budget must contain at least one branched row
     for seed in range(160):
         M = random_instance(seed + 11000, 4 + seed % 5, 4 + seed % 5, 0.45)
-        viol = find_helly_violation(set_system(M))
+        viol = find_helly_violation(M)
         if viol is not None:
             branch = set(viol.rows)
         else:
@@ -98,7 +97,7 @@ def test_branch_candidates_hit_every_feasible_solution():
 
 def test_rule3_branch_hits_solutions_on_uncovered_family():
     M = COMPLEMENT_IDENT4
-    assert find_helly_violation(set_system(M)) is None
+    assert find_helly_violation(M) is None
     assert _find_rule2_cycle(M) is None
     _, core = find_uncovered_clique(M)
     branch = set(sorted(core)[:3])
@@ -117,7 +116,7 @@ def test_leaf_state_is_rule_clean_and_clique_matrix():
         cos_r(M, 2, on_leaf=grab)
     assert leaves
     for matrix, budget in leaves:
-        assert find_helly_violation(set_system(matrix)) is None
+        assert find_helly_violation(matrix) is None
         assert _find_rule2_cycle(matrix) is None
         assert find_uncovered_clique(matrix) is None
         zero = {r for r, mask in zip(matrix.row_ids, matrix.rows) if mask == 0}
@@ -144,7 +143,7 @@ def test_leaf_where_identity_deletion_would_cheat():
         "1 0 1 0 0 0 1 1\n"
         "1 1 0 1 1 1 1 1\n"
     )
-    assert find_helly_violation(set_system(M)) is None
+    assert find_helly_violation(M) is None
     assert _find_rule2_cycle(M) is None
     assert find_uncovered_clique(M) is None
     from cosr import interval_deletion
