@@ -43,9 +43,7 @@ def _emit_report(report: SolveReport, show_stats: bool) -> int:
     return EXIT_YES if report.feasible else EXIT_NO
 
 
-def _cmd_check_cop(args) -> int:
-    M = parse_matrix(_read_input(args.input))
-    order = cop_order(M)
+def _emit_order(order) -> int:
     if order is None:
         print("NO")
         return EXIT_NO
@@ -54,19 +52,25 @@ def _cmd_check_cop(args) -> int:
     return EXIT_YES
 
 
+def _emit_deleted(removed) -> int:
+    if removed is None:
+        print("NO")
+        return EXIT_NO
+    print(" ".join(str(v) for v in sorted(removed)))
+    return EXIT_YES
+
+
+def _cmd_check_cop(args) -> int:
+    return _emit_order(cop_order(parse_matrix(_read_input(args.input))))
+
+
 def _cmd_solve(args) -> int:
     M = parse_matrix(_read_input(args.input))
     return _emit_report(cos_r(M, args.d), args.stats)
 
 
 def _cmd_interval_deletion(args) -> int:
-    G = parse_graph(_read_input(args.input))
-    removed = interval_deletion(G, args.d)
-    if removed is None:
-        print("NO")
-        return EXIT_NO
-    print(" ".join(str(v) for v in sorted(removed)))
-    return EXIT_YES
+    return _emit_deleted(interval_deletion(parse_graph(_read_input(args.input)), args.d))
 
 
 def _parse_bipartite(text: str) -> tuple[Graph, frozenset[int]]:
@@ -96,14 +100,7 @@ def _cmd_convex_bipartite(args) -> int:
 
 
 def _cmd_oracle_check_cop(args) -> int:
-    M = parse_matrix(_read_input(args.input))
-    order = brute_cop(M)
-    if order is None:
-        print("NO")
-        return EXIT_NO
-    print("YES")
-    print(" ".join(str(c) for c in order))
-    return EXIT_YES
+    return _emit_order(brute_cop(parse_matrix(_read_input(args.input))))
 
 
 def _cmd_oracle_solve(args) -> int:
@@ -120,13 +117,7 @@ def _cmd_oracle_solve(args) -> int:
 
 
 def _cmd_oracle_interval_deletion(args) -> int:
-    G = parse_graph(_read_input(args.input))
-    removed = brute_interval_deletion(G, args.d)
-    if removed is None:
-        print("NO")
-        return EXIT_NO
-    print(" ".join(str(v) for v in sorted(removed)))
-    return EXIT_YES
+    return _emit_deleted(brute_interval_deletion(parse_graph(_read_input(args.input)), args.d))
 
 
 def _cmd_gen(args) -> int:

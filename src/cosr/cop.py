@@ -150,22 +150,20 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
     placed_comps: list[int] = []
     for c in insertion:
         u = comp_union[c]
-        best = None
-        for p in placed_comps:
-            if u & ~comp_union[p]:
-                continue
-            if best is None or comp_union[p].bit_count() <= comp_union[best].bit_count():
-                best = p
-        if best is None:
-            roots.append(c)
+        # Unions are placed in non-increasing size, so the last placed
+        # container is the tightest one, and of equal ones the latest.
+        for best in reversed(placed_comps):
+            if not u & ~comp_union[best]:
+                slot = None
+                for bi, block in enumerate(comp_blocks[best]):
+                    if u & ~block == 0:
+                        slot = bi
+                        break
+                assert slot is not None, "nested component must fit inside one block"
+                children[best][slot].append(c)
+                break
         else:
-            slot = None
-            for bi, block in enumerate(comp_blocks[best]):
-                if u & ~block == 0:
-                    slot = bi
-                    break
-            assert slot is not None, "nested component must fit inside one block"
-            children[best][slot].append(c)
+            roots.append(c)
         placed_comps.append(c)
 
     def entries(blocks: list[int], kids: list[list[int]]) -> list[int]:

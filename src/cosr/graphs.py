@@ -76,15 +76,6 @@ class Graph:
         drop = set(drop)
         return self.subgraph(set(self._vertices) - drop)
 
-    def common_neighbor_mask(self, members: Iterable[int]) -> int:
-        mask = (1 << self.n) - 1
-        mem = 0
-        for v in members:
-            i = self._require(v)
-            mask &= self._adj[i]
-            mem |= 1 << i
-        return mask & ~mem
-
     def labels(self, mask: int) -> frozenset[int]:
         return frozenset(self._vertices[i] for i in _bits(mask))
 
@@ -269,32 +260,43 @@ def find_uncovered_clique(
     whether the matrix can reach the consecutive ones property.
     """
     G = derived_graph(M)
-    verts = [vert(M, c) for c in M.col_ids]
-    candidates: set[frozenset[int]] = set()
+    adj = G._adj
+    verts = [0] * M.n  # per column, the positions in G of the rows holding it
+    for label, mask in zip(M.row_ids, M.rows):
+        for j in _bits(mask):
+            verts[j] |= 1 << G._index[label]
+    # The search, the PEO check and the clique listing read only
+    # ``adj[v] & live`` or ``adj[v] & later`` with ``later`` inside
+    # ``live``, so each pass sees exactly the pair subgraph induced on
+    # ``live``; G's positions ascend with labels, so ties, elimination
+    # order and cliques are those of that subgraph built on its own.
+    candidates: set[int] = set()
     for i in range(M.n):
         for j in range(i + 1, M.n):
-            sub = G.subgraph(verts[i] | verts[j])
-            peo = is_chordal(sub)
-            if peo is None:
+            order = _mcs_order(adj, verts[i] | verts[j])
+            if not _is_peo(adj, order):
                 raise ContractError(
                     f"pair subgraph of columns {M.col_ids[i]}, {M.col_ids[j]} is not chordal"
                 )
-            for clique in maximal_cliques_chordal(sub, peo):
-                if G.common_neighbor_mask(clique) == 0:
+            for clique in _clique_masks(adj, order):
+                common = -1
+                for v in _bits(clique):
+                    common &= adj[v]
+                if not common:  # no vertex of G extends the clique
                     candidates.add(clique)
 
-    def covered(group: frozenset[int]) -> bool:
-        return any(group <= vs for vs in verts)
+    def covered(group: int) -> bool:
+        return any(not group & ~vs for vs in verts)
 
-    for clique in sorted(candidates, key=sorted):
+    for clique in sorted(candidates, key=lambda c: list(_bits(c))):
         if covered(clique):
             continue
-        minimal = set(clique)
-        for v in sorted(clique):
-            if len(minimal) > 1 and not covered(frozenset(minimal - {v})):
-                minimal.discard(v)
-        assert len(minimal) >= 3, "two clique members always share a column"
-        return clique, frozenset(minimal)
+        minimal = clique
+        for v in _bits(clique):
+            if not covered(minimal & ~(1 << v)):
+                minimal &= ~(1 << v)
+        assert minimal.bit_count() >= 3, "two clique members always share a column"
+        return G.labels(clique), G.labels(minimal)
     return None
 
 

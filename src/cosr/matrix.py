@@ -112,8 +112,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
     """Parse the matrix file format.
 
     Comment lines start with '#'. The first non-comment line is "m n";
-    then m rows follow, each either n whitespace-separated 0/1 tokens or
-    a contiguous digit string of length n. When n is 0 a row is a blank
+    then m rows follow, each n cells from {0,1}, with or without
+    whitespace between them. When n is 0 a row is a blank
     line, and blank lines are skipped, so no row lines are read. Labels
     are assigned 1-based in file order.
     """
@@ -133,20 +133,11 @@ def parse_matrix(text: str) -> BinaryMatrix:
         except StopIteration:
             raise ParseError(header_no, f"expected {m} rows, found {len(rows)}") from None
         tokens = line.split()
-        if len(tokens) == n and all(t in ("0", "1") for t in tokens):
-            cells = tokens
-        else:
-            joined = "".join(tokens)
-            if len(joined) == n and set(joined) <= {"0", "1"}:
-                cells = list(joined)
-            else:
-                bad = next((t for t in tokens if t not in ("0", "1")), line)
-                raise ParseError(no, f"expected {n} cells from {{0,1}}, got {bad!r}")
-        mask = 0
-        for j, cell in enumerate(cells):
-            if cell == "1":
-                mask |= 1 << j
-        rows.append(mask)
+        joined = "".join(tokens)
+        if len(joined) != n or not set(joined) <= {"0", "1"}:
+            bad = next((t for t in tokens if t not in ("0", "1")), line)
+            raise ParseError(no, f"expected {n} cells from {{0,1}}, got {bad!r}")
+        rows.append(int(joined[::-1], 2))  # cell j is bit j
     extra = next(lines, None)
     if extra is not None:
         raise ParseError(extra[0], "trailing content after last row")

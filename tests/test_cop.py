@@ -38,6 +38,16 @@ def test_cop_order_small_derived_example():
     assert cop_order(TWO_ROWS) == (1, 3, 2)
 
 
+def test_cop_order_pinned_certificates():
+    # six nested prefixes of the order 4 7 1 6 2 5 3, rows shuffled
+    stair = parse_matrix("6 7\n1001011\n0001001\n1111111\n1001001\n1101111\n1101011\n")
+    assert cop_order(stair) == (1, 4, 7, 6, 2, 5, 3)
+    # row {2,3,4,5} alone spans the same columns as the overlap component
+    # {3,5}, {2,4,5}; row {2,4} nests in that component's block {2,4}
+    tie = parse_matrix("4 5\n01111\n00101\n01011\n01010\n")
+    assert cop_order(tie) == (1, 3, 5, 2, 4)
+
+
 def test_verify_cop_examples():
     assert verify_cop(IDENT3, (1, 2, 3))
     assert verify_cop(TWO_ROWS, (1, 3, 2))

@@ -213,6 +213,79 @@ def test_find_uncovered_clique_core_is_inclusion_minimal():
             assert any(rest <= vs for vs in verts)
 
 
+def _uncovered_clique_by_labels(M):
+    """The label-set scan that the mask scan replaced: one Graph per column pair."""
+    G = derived_graph(M)
+    verts = [vert(M, c) for c in M.col_ids]
+    candidates = set()
+    for a, b in combinations(M.col_ids, 2):
+        sub = pair_subgraph(M, a, b)
+        for clique in maximal_cliques_chordal(sub, is_chordal(sub)):
+            if not frozenset.intersection(*map(G.neighbors, clique)):
+                candidates.add(clique)
+
+    def covered(group):
+        return any(group <= vs for vs in verts)
+
+    for clique in sorted(candidates, key=sorted):
+        if covered(clique):
+            continue
+        minimal = set(clique)
+        for v in sorted(clique):
+            if len(minimal) > 1 and not covered(frozenset(minimal - {v})):
+                minimal.discard(v)
+        return clique, frozenset(minimal)
+    return None
+
+
+def _rules_1_and_2_clean(M):
+    return find_helly_violation(M) is None and all(
+        is_chordal(pair_subgraph(M, a, b)) is not None for a, b in combinations(M.col_ids, 2)
+    )
+
+
+def test_uncovered_clique_mask_scan_matches_label_scan():
+    rng = random.Random(7)
+    matrices = []
+    for seed in range(200):
+        M = random_instance(seed + 4000, 3 + seed % 7, 2 + seed % 6, 0.3 + 0.1 * (seed % 5))
+        matrices.append(M)
+        drop = rng.sample(M.row_ids, rng.randint(1, M.m - 1))
+        matrices.append(delete_rows(M, drop))
+    for seed in range(150):
+        # complement-of-identity cores on k columns (a second one on other
+        # columns for odd seeds), extra random rows, columns and rows
+        # shuffled, and labels drawn out of order
+        k = 4 + seed % 3
+        rows = [((1 << k) - 1) & ~(1 << i) for i in range(k)]
+        rows += [r << k for r in rows] if seed % 2 else []
+        n, m = len(rows) + seed % 3, len(rows) + seed % 4
+        perm = rng.sample(range(n), n)
+        rows += [rng.getrandbits(n) for _ in range(m - len(rows))]
+        rows = [sum(1 << perm[j] for j in range(n) if r >> j & 1) for r in rows]
+        rng.shuffle(rows)
+        row_ids = tuple(rng.sample(range(-20, 40), m))
+        M = BinaryMatrix(row_ids, tuple(range(1, n + 1)), tuple(rows))
+        matrices += [M, delete_rows(M, [rng.choice(row_ids)])]
+    found = checked = 0
+    for M in matrices:
+        if M.n < 2 or not _rules_1_and_2_clean(M):
+            continue
+        got = find_uncovered_clique(M)
+        assert got == _uncovered_clique_by_labels(M), M
+        found += got is not None
+        checked += 1
+    assert checked > 400 and found > 50
+
+
+def test_uncovered_clique_rejects_a_chordless_pair_subgraph():
+    # columns 1 and 3 hold all four rows, which meet in the cycle 1-2-3-4
+    M = parse_matrix("4 4\n1100\n0110\n0011\n1001\n")
+    assert find_helly_violation(M) is None
+    with pytest.raises(ContractError, match="columns 1, 3 is not chordal"):
+        find_uncovered_clique(M)
+
+
 def test_pair_subgraphs_of_helly_clean_matrices():
     # without Helly violations: a 4-cycle-free pair subgraph is chordal,
     # and every induced cycle in a pair subgraph has length at most 4
@@ -271,7 +344,7 @@ def test_pair_clique_union_equals_all_maximal_cliques():
                     bad = True
                     break
                 for clique in maximal_cliques_chordal(sub, is_chordal(sub)):
-                    if G.common_neighbor_mask(clique) == 0:
+                    if not frozenset.intersection(*map(G.neighbors, clique)):
                         candidates.add(clique)
             if bad:
                 break

@@ -169,6 +169,10 @@ def test_parse_edge_cases():
         parse_matrix("2 0\n1\n")
     padded = parse_matrix("\n\n  2 2  \n\n 1 0 \n01\n\n# done\n")
     assert padded.rows == (1, 2)
+    assert parse_matrix("1 3\n01 1\n").rows == (6,)
+    for row in ("1_01", "+11"):  # int() would take these; the format does not
+        with pytest.raises(ParseError, match="expected 3 cells"):
+            parse_matrix(f"1 3\n{row}\n")
 
 
 def test_invalid_construction_rejected():
