@@ -12,6 +12,7 @@ assembled recursively. Every certificate is re-checked with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from .errors import ContractError
@@ -23,11 +24,17 @@ def verify_cop(M: BinaryMatrix, order: Sequence[int]) -> bool:
     order = tuple(order)
     if sorted(order) != sorted(M.col_ids):
         raise ValueError("order is not a permutation of the matrix columns")
-    pos = {label: i for i, label in enumerate(order)}
-    for mask in M.rows:
-        positions = [pos[M.col_ids[j]] for j in _bits(mask)]
-        if positions and max(positions) - min(positions) + 1 != len(positions):
-            return False
+    # prefix[t] masks the first t columns of ``order``; a row with p ones is
+    # consecutive iff the p columns from its first one on are the row.
+    col, prefix = M.col_index, [0]
+    for label in order:
+        prefix.append(prefix[-1] | 1 << col[label])
+    for mask in set(M.rows):
+        ones = mask.bit_count()
+        if ones > 1:
+            lo = bisect_left(prefix, 1, key=mask.__and__) - 1
+            if prefix[lo + ones] & ~prefix[lo] != mask:
+                return False
     return True
 
 

@@ -9,6 +9,8 @@ identified without translation tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .errors import ContractError, ParseError
@@ -121,28 +123,42 @@ def vert(M: BinaryMatrix, col: int) -> frozenset[int]:
     return support(M, col)
 
 
-def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
+def find_helly_violation(M: BinaryMatrix, start: int = 0) -> HellyViolation | None:
     """First row triple (in matrix row order) violating H1 or H2.
 
     Each row is its column mask. H1 is tested before H2 on each triple;
     triples are scanned in lexicographic order of row position so the
-    result is deterministic.
+    result is deterministic. Only triples whose rows all sit at position
+    ``start`` or later are scanned.
     """
-    rows = M.rows
+    rows = M.rows[start:]
+    if len(rows) < 3:
+        return None
+    # Positions count from ``start``. cols[c] has bit r when row r holds
+    # column c, and meets[r] bit s when rows r and s share a column, so j
+    # and k run over intersecting rows only.
+    cols, supports = [0] * M.n, [list(_bits(mask)) for mask in rows]
+    for r, support_r in enumerate(supports):
+        bit = 1 << r
+        for c in support_r:
+            cols[c] |= bit
+    meets = [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
     for i, a in enumerate(rows):
-        for j in range(i + 1, len(rows)):
+        later = meets[i] >> (i + 1) << (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            j = low.bit_length() - 1
             b = rows[j]
-            if not a & b:
-                continue
-            for k in range(j + 1, len(rows)):
+            both = later & meets[j]  # rows after j meeting a and b
+            while both:
+                low = both & -both
+                both ^= low
+                k = low.bit_length() - 1
                 c = rows[k]
-                if not (a & c and b & c):
-                    continue
-                triple = (M.row_ids[i], M.row_ids[j], M.row_ids[k])
-                if not a & b & c:
-                    return HellyViolation(triple, "H1")
-                if a & ~(b | c) and b & ~(a | c) and c & ~(a | b):
-                    return HellyViolation(triple, "H2")
+                if not a & b & c or a & ~(b | c) and b & ~(a | c) and c & ~(a | b):
+                    ids = M.row_ids[start:]
+                    return HellyViolation((ids[i], ids[j], ids[k]), "H2" if a & b & c else "H1")
     return None
 
 

@@ -104,21 +104,32 @@ def _solve(
     budget: int,
     stats: SolveStats,
     on_leaf: Callable[[BinaryMatrix, int], None] | None,
-) -> tuple[frozenset[int], tuple[int, ...]] | None:
-    """The deleted rows and the survivor's column order, or None."""
+    helly_start: int = 0,
+) -> tuple[frozenset[int], BinaryMatrix, tuple[int, ...]] | None:
+    """The deleted rows, the survivor and its column order, or None."""
     # Step 1: budget exhausted.
     if budget < 0:
         return None
     # Step 0: done if the matrix already has the property.
     order = cop_order(matrix)
     if order is not None:
-        return accumulated, order
+        return accumulated, matrix, order
 
     branch_rows: Iterable[int] | None = None
-    violation = find_helly_violation(matrix)
+    # Whether a triple violates H1 or H2 depends on its three rows alone,
+    # and ``delete_rows`` keeps row order, so a child's triples are its
+    # parent's triples that avoid the deleted row, in the same order.
+    # Below a rule-1 node, every parent triple before the first hit
+    # (i, j, k) is clean and the rows before position i are unchanged,
+    # so the child's scan may start at position i. Below a rule-2 or
+    # rule-3 node the parent was Helly-clean, so every child is too and
+    # its scan starts past the last row.
+    child_start = matrix.m
+    violation = find_helly_violation(matrix, helly_start)
     if violation is not None:
         stats.rule1 += 1
         branch_rows = violation.rows
+        child_start = matrix.row_ids.index(violation.rows[0])
     else:
         cycle = _find_rule2_cycle(matrix)
         if cycle is not None:
@@ -148,6 +159,7 @@ def _solve(
                 budget - 1,
                 stats,
                 on_leaf,
+                child_start,
             )
             if result is not None:
                 return result
@@ -172,7 +184,8 @@ def _solve(
     if removed is None:
         return None
     assert not removed & aug.identity_rows
-    return accumulated | removed, cop_order(delete_rows(matrix, removed))
+    survivor = delete_rows(matrix, removed)
+    return accumulated | removed, survivor, cop_order(survivor)
 
 
 def cos_r(
@@ -193,13 +206,14 @@ def cos_r(
     found = _solve(M, frozenset(), d, stats, on_leaf)
     if found is None:
         return SolveReport(False, None, None, stats)
-    solution, certificate = found
+    solution, survivor, certificate = found
     assert len(solution) <= d
     # The certificate is the one ``cop_order(delete_rows(M, solution))``
     # would give: every node's matrix equals ``delete_rows(M, accumulated)``
     # (same labels, same order, same masks), and ``cop_order`` is a
     # function of that value.
-    assert certificate is not None and verify_cop(delete_rows(M, solution), certificate)
+    assert survivor.row_ids == tuple(r for r in M.row_ids if r not in solution)
+    assert certificate is not None and verify_cop(survivor, certificate)
     return SolveReport(True, solution, certificate, stats)
 
 

@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from cosr import (
+    BinaryMatrix,
     ContractError,
     cop_order,
     interval_assignment,
@@ -56,6 +58,50 @@ def test_verify_cop_examples():
         verify_cop(IDENT3, (1, 2))
     with pytest.raises(ValueError):
         verify_cop(IDENT3, (1, 2, 2))
+
+
+def _verify_by_positions(M, order):
+    """The per-row position-list check that the prefix-mask check replaced."""
+    pos = {label: i for i, label in enumerate(order)}
+    for mask in M.rows:
+        positions = [pos[M.col_ids[j]] for j in range(M.n) if mask >> j & 1]
+        if positions and max(positions) - min(positions) + 1 != len(positions):
+            return False
+    return True
+
+
+def test_verify_cop_matches_position_lists():
+    rng = random.Random(17)
+    cases = [(BinaryMatrix((), (), ()), ()), (BinaryMatrix((1, 2), (), (0, 0)), ())]
+    for _ in range(600):
+        m, n = rng.randint(0, 7), rng.randint(1, 7)
+        col_ids = tuple(rng.sample(range(-5, 20), n))
+        order = list(col_ids)
+        rng.shuffle(order)
+        # runs of a hidden order, so some permutations verify
+        rows = []
+        for _ in range(m):
+            kind = rng.randrange(4)
+            if kind == 0:
+                rows.append(rng.getrandbits(n))
+            elif kind == 1:
+                rows.append(rng.choice([0, 1 << rng.randrange(n)]))
+            else:
+                lo = rng.randrange(n)
+                hi = rng.randrange(lo, n)
+                rows.append(sum(1 << col_ids.index(c) for c in order[lo : hi + 1]))
+        rows += rng.sample(rows, min(len(rows), 2))  # duplicate rows
+        M = BinaryMatrix(tuple(range(1, len(rows) + 1)), col_ids, tuple(rows))
+        cases.append((M, tuple(order)))
+        for _ in range(3):
+            cases.append((M, tuple(rng.sample(col_ids, n))))
+    verdicts = set()
+    for M, order in cases:
+        want = _verify_by_positions(M, order)
+        assert verify_cop(M, order) == want, (M, order)
+        assert verify_cop(M, list(order)) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_interval_assignment_examples():

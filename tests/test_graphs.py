@@ -72,11 +72,11 @@ def test_helly_violation_kinds():
     assert find_helly_violation(IDENT3) is None
 
 
-def _helly_by_sets(M):
+def _helly_by_sets(M, start=0):
     """The frozenset scan over row sets that the mask scan replaced."""
     labels = list(M.row_ids)
     sets = {r: M.row_set(r) for r in labels}
-    for i, j, k in combinations(range(len(labels)), 3):
+    for i, j, k in combinations(range(start, len(labels)), 3):
         triple = (labels[i], labels[j], labels[k])
         a, b, c = (sets[r] for r in triple)
         if not (a & b and a & c and b & c):
@@ -88,6 +88,21 @@ def _helly_by_sets(M):
     return None
 
 
+def _as_pair(violation):
+    return None if violation is None else (violation.rows, violation.kind)
+
+
+def _gapped_random_matrices(rng, count):
+    """Random matrices with unsorted, gapped and negative row labels."""
+    out = []
+    for seed in range(count):
+        m, n = 3 + seed % 7, 2 + seed % 6
+        row_ids = tuple(rng.sample(range(-20, 40), m))
+        rows = tuple(rng.getrandbits(n) for _ in range(m))
+        out.append(BinaryMatrix(row_ids, tuple(range(1, n + 1)), rows))
+    return out
+
+
 def test_helly_mask_scan_matches_set_scan():
     rng = random.Random(6)
     matrices = []
@@ -96,18 +111,56 @@ def test_helly_mask_scan_matches_set_scan():
         matrices.append(M)
         drop = rng.sample(M.row_ids, rng.randint(1, M.m - 1))
         matrices.append(delete_rows(M, drop))
-    for seed in range(150):
-        m, n = 3 + seed % 7, 2 + seed % 6
-        row_ids = tuple(rng.sample(range(-20, 40), m))
-        rows = tuple(rng.getrandbits(n) for _ in range(m))
-        matrices.append(BinaryMatrix(row_ids, tuple(range(1, n + 1)), rows))
+    matrices += _gapped_random_matrices(rng, 150)
     kinds = set()
     for M in matrices:
-        got = find_helly_violation(M)
-        want = _helly_by_sets(M)
-        assert (None if got is None else (got.rows, got.kind)) == want, M
-        kinds.add(None if got is None else got.kind)
+        for start in range(M.m + 2):
+            got = _as_pair(find_helly_violation(M, start))
+            assert got == _helly_by_sets(M, start), (M, start)
+            kinds.add(None if got is None else got[1])
+        assert _as_pair(find_helly_violation(M)) == _helly_by_sets(M)
     assert kinds == {None, "H1", "H2"}
+
+
+def test_helly_resume_at_parent_triple_matches_full_scan():
+    # a child of a rule-1 node may start its scan at the position of the
+    # parent's first triple row; follow the branch tree two levels down
+    rng = random.Random(61)
+    children = 0
+    for M in _gapped_random_matrices(rng, 300):
+        frontier = [(M, 0)]
+        for _ in range(2):
+            deeper = []
+            for parent, start in frontier:
+                violation = find_helly_violation(parent, start)
+                assert _as_pair(violation) == _helly_by_sets(parent)
+                if violation is None:
+                    continue
+                resume = parent.row_ids.index(violation.rows[0])
+                for row in violation.rows:
+                    child = delete_rows(parent, {row})
+                    got = _as_pair(find_helly_violation(child, resume))
+                    assert got == _helly_by_sets(child), (parent, row)
+                    deeper.append((child, resume))
+                    children += 1
+            frontier = deeper
+    assert children > 500
+
+
+def test_helly_clean_matrices_have_clean_children():
+    # a child of a rule-2 or rule-3 node starts past its last row
+    rng = random.Random(62)
+    clean = 0
+    for M in _gapped_random_matrices(rng, 400):
+        if _helly_by_sets(M) is not None:
+            continue
+        clean += 1
+        assert find_helly_violation(M) is None
+        for row in M.row_ids:
+            child = delete_rows(M, {row})
+            assert _helly_by_sets(child) is None
+            assert find_helly_violation(child, M.m) is None
+    assert clean > 50
 
 
 def test_pair_subgraph_examples():

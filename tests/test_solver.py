@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from cosr import (
+    BinaryMatrix,
     Graph,
     augment,
     convex_bipartite_deletion,
@@ -18,7 +19,7 @@ from cosr import (
     verify_cop,
     vert,
 )
-from cosr.solver import _find_rule2_cycle
+from cosr.solver import SolveStats, _find_rule2_cycle
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
@@ -317,3 +318,63 @@ def test_leaf_fallback_is_counted(monkeypatch):
 def test_stats_keys_keep_their_order():
     keys = list(cos_r(COMPLEMENT_IDENT4, 2).stats.as_dict())
     assert keys == ["internal_nodes", "leaves", "rule1", "rule2", "rule3", "leaf_nodes", "leaf_fallbacks"]
+
+
+def _planted(seed, n, k, extra):
+    """k gapped noise rows among links repeated k + 1 times and short runs."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+
+    def on(positions):
+        return sum(1 << order[p] for p in positions)
+
+    rows = [on((p, p + 1)) for p in range(n - 1) for _ in range(k + 1)]
+    for _ in range(extra):
+        lo = rng.randrange(n - 1)
+        rows.append(on(range(lo, rng.randrange(lo + 1, min(n, lo + 4)) + 1)))
+    for _ in range(k):
+        first = rng.randrange(n - 2)
+        last = min(n - 1, first + rng.randrange(2, max(3, n // 3)))
+        gap = rng.randrange(first + 1, last)
+        rows.append(on(p for p in range(first, last + 1) if p != gap))
+    rng.shuffle(rows)
+    row_ids = tuple(3 * r - 10 for r in range(len(rows)))
+    return BinaryMatrix(row_ids, tuple(range(1, n + 1)), tuple(rows))
+
+
+# (seed, n, k, extra), d, report text, stats.as_dict() values. Only rule 1
+# fires on these, so a rule-1 scan that resumed too late would change the
+# rule1 counts or the answers.
+PINNED_PLANTED = [
+    ((1, 8, 1, 4), 1, "YES\n20\n3 5 1 8 6 2 7 4\n", (3, 0, 3, 0, 0, 0, 0)),
+    ((1, 8, 1, 4), 0, "NO\n", (1, 0, 1, 0, 0, 0, 0)),
+    ((2, 10, 2, 5), 2, "YES\n-1 14\n1 2 9 3 8 7 5 4 10 6\n", (6, 0, 6, 0, 0, 0, 0)),
+    ((2, 10, 2, 5), 1, "NO\n", (4, 0, 4, 0, 0, 0, 0)),
+    ((3, 9, 2, 3), 2, "YES\n14 47\n2 6 7 1 9 5 8 3 4\n", (12, 0, 12, 0, 0, 0, 0)),
+    ((3, 9, 2, 3), 1, "NO\n", (4, 0, 4, 0, 0, 0, 0)),
+    ((4, 12, 3, 6), 3, "YES\n56 101 104\n12 3 9 11 6 1 10 8 7 2 5 4\n", (39, 0, 39, 0, 0, 0, 0)),
+    ((4, 12, 3, 6), 2, "NO\n", (13, 0, 13, 0, 0, 0, 0)),
+    ((5, 7, 3, 2), 3, "YES\n5 14 62\n7 4 2 1 6 3 5\n", (39, 0, 39, 0, 0, 0, 0)),
+    ((5, 7, 3, 2), 2, "NO\n", (13, 0, 13, 0, 0, 0, 0)),
+    ((6, 11, 1, 8), 1, "YES\n35\n10 2 8 5 1 7 11 4 3 9 6\n", (3, 0, 3, 0, 0, 0, 0)),
+    ((6, 11, 1, 8), 0, "NO\n", (1, 0, 1, 0, 0, 0, 0)),
+]
+
+# random_instance arguments, report text at d = 2, stats.as_dict() values:
+# rule 1 fires above rule 2 or rule 3 nodes, whose children skip the scan.
+PINNED_MIXED = [
+    ((21019, 9, 6, 0.55), "NO\n", (12, 1, 10, 0, 2, 1, 0)),
+    ((21040, 6, 6, 0.4), "YES\n1 2\n5 3 2 1 4 6\n", (2, 0, 1, 1, 0, 0, 0)),
+    ((21049, 7, 6, 0.45), "YES\n3 5\n4 3 1 5 2 6\n", (7, 0, 6, 1, 0, 0, 0)),
+]
+
+
+def test_pinned_answers_and_counters():
+    keys = tuple(SolveStats().as_dict())
+    for args, d, text, stats in PINNED_PLANTED:
+        report = cos_r(_planted(*args), d)
+        assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats))), (args, d)
+    for args, text, stats in PINNED_MIXED:
+        report = cos_r(random_instance(*args), 2)
+        assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats))), args
