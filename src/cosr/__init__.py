@@ -31,7 +31,6 @@ from .graphs import (
     pair_subgraph,
     parse_graph,
     serialize_graph,
-    vert,
 )
 from .interval import clique_matrix, interval_deletion, is_interval, minimalize_solution
 from .solver import (
@@ -81,6 +80,5 @@ __all__ = [
     "serialize_matrix",
     "set_system",
     "support",
-    "vert",
     "verify_cop",
 ]

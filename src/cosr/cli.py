@@ -106,14 +106,8 @@ def _cmd_oracle_check_cop(args) -> int:
 def _cmd_oracle_solve(args) -> int:
     M = parse_matrix(_read_input(args.input))
     deleted = brute_cosr(M, args.d)
-    if deleted is None:
-        print("NO")
-        return EXIT_NO
-    certificate = brute_cop(delete_rows(M, deleted))
-    print("YES")
-    print(" ".join(str(r) for r in sorted(deleted)))
-    print(" ".join(str(c) for c in certificate))
-    return EXIT_YES
+    certificate = None if deleted is None else brute_cop(delete_rows(M, deleted))
+    return _emit_report(SolveReport(deleted is not None, deleted, certificate), False)
 
 
 def _cmd_oracle_interval_deletion(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ContractError, ParseError
 from .matrix import BinaryMatrix, _bits, _logical_lines, support
@@ -48,9 +48,6 @@ class Graph:
         if v not in self._index:
             raise ValueError(f"unknown vertex {v}")
         return self._index[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[self._require(u)] >> self._require(v) & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
         mask = self._adj[self._require(v)]
@@ -106,21 +103,34 @@ class HellyViolation:
     kind: str
 
 
+def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Row incidence masks over the positions in ``rows``.
+
+    ``cols[c]`` has bit r when row r holds column c, and ``meets[r]`` has
+    bit s when rows r and s share a column; a nonempty row meets itself.
+    """
+    cols, supports = [0] * n, [list(_bits(mask)) for mask in rows]
+    for r, support_r in enumerate(supports):
+        bit = 1 << r
+        for c in support_r:
+            cols[c] |= bit
+    return cols, [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
+
+
+def _derived(M: BinaryMatrix) -> tuple[Graph, list[int]]:
+    """The derived graph, and per column the positions in it of the rows
+    holding that column. Graph positions ascend with labels, so the rows
+    go to ``_incidence`` in label order."""
+    pairs = sorted(zip(M.row_ids, M.rows))
+    cols, meets = _incidence([mask for _, mask in pairs], M.n)
+    G = Graph(label for label, _ in pairs)
+    G._adj = [meet & ~(1 << v) for v, meet in enumerate(meets)]
+    return G, cols
+
+
 def derived_graph(M: BinaryMatrix) -> Graph:
     """One vertex per row; an edge where two rows share a 1-column."""
-    edges = []
-    for j in range(M.n):
-        bit = 1 << j
-        members = [label for label, mask in zip(M.row_ids, M.rows) if mask & bit]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                edges.append((members[a], members[b]))
-    return Graph(M.row_ids, edges)
-
-
-def vert(M: BinaryMatrix, col: int) -> frozenset[int]:
-    """Vertices of the derived graph whose rows support ``col``."""
-    return support(M, col)
+    return _derived(M)[0]
 
 
 def find_helly_violation(M: BinaryMatrix, start: int = 0) -> HellyViolation | None:
@@ -134,15 +144,8 @@ def find_helly_violation(M: BinaryMatrix, start: int = 0) -> HellyViolation | No
     rows = M.rows[start:]
     if len(rows) < 3:
         return None
-    # Positions count from ``start``. cols[c] has bit r when row r holds
-    # column c, and meets[r] bit s when rows r and s share a column, so j
-    # and k run over intersecting rows only.
-    cols, supports = [0] * M.n, [list(_bits(mask)) for mask in rows]
-    for r, support_r in enumerate(supports):
-        bit = 1 << r
-        for c in support_r:
-            cols[c] |= bit
-    meets = [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
+    # Positions count from ``start``; j and k run over intersecting rows only.
+    _, meets = _incidence(rows, M.n)
     for i, a in enumerate(rows):
         later = meets[i] >> (i + 1) << (i + 1)
         while later:
@@ -163,10 +166,10 @@ def find_helly_violation(M: BinaryMatrix, start: int = 0) -> HellyViolation | No
 
 
 def pair_subgraph(M: BinaryMatrix, col_a: int, col_b: int) -> Graph:
-    """Subgraph of the derived graph induced on vert(col_a) | vert(col_b)."""
+    """Subgraph of the derived graph induced on the rows holding col_a or col_b."""
     if col_a == col_b:
         raise ValueError("pair subgraph needs two distinct columns")
-    keep = vert(M, col_a) | vert(M, col_b)
+    keep = support(M, col_a) | support(M, col_b)
     return derived_graph(M).subgraph(keep)
 
 
@@ -176,16 +179,15 @@ def find_c4(G: Graph) -> tuple[int, int, int, int] | None:
     Scans non-adjacent vertex pairs in ascending label order for two
     non-adjacent common neighbors, so the first hit is deterministic.
     """
-    vs = G.vertices
-    for ai, a in enumerate(vs):
-        for c in vs[ai + 1 :]:
-            if G.has_edge(a, c):
-                continue
-            common = sorted(G.neighbors(a) & G.neighbors(c))
-            for bi, b in enumerate(common):
-                for d in common[bi + 1 :]:
-                    if not G.has_edge(b, d):
-                        return (a, b, c, d)
+    adj, vs = G._adj, G.vertices
+    everything = (1 << G.n) - 1
+    for a in range(G.n):
+        for c in _bits(everything & ~adj[a] & ~((2 << a) - 1)):
+            common = adj[a] & adj[c]
+            for b in _bits(common):
+                far = common & ~adj[b] & ~((2 << b) - 1)  # the d > b not adjacent to b
+                if far:
+                    return vs[a], vs[b], vs[c], vs[(far & -far).bit_length() - 1]
     return None
 
 
@@ -275,12 +277,8 @@ def find_uncovered_clique(
     are deliberately not treated as uncovered cliques; they cannot affect
     whether the matrix can reach the consecutive ones property.
     """
-    G = derived_graph(M)
+    G, verts = _derived(M)
     adj = G._adj
-    verts = [0] * M.n  # per column, the positions in G of the rows holding it
-    for label, mask in zip(M.row_ids, M.rows):
-        for j in _bits(mask):
-            verts[j] |= 1 << G._index[label]
     # The search, the PEO check and the clique listing read only
     # ``adj[v] & live`` or ``adj[v] & later`` with ``later`` inside
     # ``live``, so each pass sees exactly the pair subgraph induced on

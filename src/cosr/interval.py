@@ -23,6 +23,10 @@ from .errors import ContractError
 from .graphs import Graph, _clique_masks, _is_peo, _mcs_order, is_chordal  # noqa: F401
 from .matrix import BinaryMatrix, _bits
 
+# Branch nodes a search may spend before it switches to the exhaustive
+# subset search.
+_NODE_LIMIT = 200_000
+
 
 def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
     """Vertices-by-cliques incidence matrix; rows carry the vertex labels."""
@@ -193,7 +197,7 @@ def _subset_search(adj: list[int], live: int, d: int, forbidden: int) -> int | N
 def interval_deletion(
     G: Graph,
     d: int,
-    node_limit: int = 200_000,
+    node_limit: int = _NODE_LIMIT,
     forbidden: frozenset[int] = frozenset(),
 ) -> frozenset[int] | None:
     """An inclusion-minimal set of at most ``d`` vertices whose removal

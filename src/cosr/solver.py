@@ -28,15 +28,11 @@ from typing import Callable, Iterable
 from .graphs import Graph, derived_graph, find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph
 # ``interval_deletion`` and ``set_system`` stay importable from here: the
 # benchmark's tracer wraps ``cosr.solver.interval_deletion`` and
-# ``cosr.solver.set_system`` by name.
-from .interval import _interval_deletion, interval_deletion  # noqa: F401
+# ``cosr.solver.set_system`` by name. The leaf reads its node budget as
+# ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it here.
+from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
 from .cop import cop_order, verify_cop
 from .matrix import BinaryMatrix, augment, delete_rows, set_system  # noqa: F401
-
-
-# Branch nodes a leaf may spend before interval deletion switches to its
-# exhaustive subset search.
-_LEAF_NODE_LIMIT = 200_000
 
 
 @dataclass

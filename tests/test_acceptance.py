@@ -30,8 +30,8 @@ from cosr import (
     parse_matrix,
     pair_subgraph,
     set_system,
+    support,
     verify_cop,
-    vert,
 )
 from cosr.cli import run as cli_run
 from cosr.graphs import find_c4
@@ -206,13 +206,13 @@ def _leaf_check(rows, n, budget, matrix):
         failures.append("c")
     zero = {r for r, mask in zip(matrix.row_ids, matrix.rows) if mask == 0}
     live = delete_rows(matrix, zero)
-    live_verts = {vert(live, c) for c in live.col_ids}
+    live_verts = {support(live, c) for c in live.col_ids}
     if not set(brute_maximal_cliques(derived_graph(live))) <= live_verts:
         failures.append("d")
     else:
         aug_live = augment(live)
         aug_cliques = set(brute_maximal_cliques(derived_graph(aug_live)))
-        if aug_cliques != {vert(aug_live, c) for c in aug_live.col_ids}:
+        if aug_cliques != {support(aug_live, c) for c in aug_live.col_ids}:
             failures.append("d")
     aug = augment(matrix)
     row_side = brute_cosr(aug, budget) is not None

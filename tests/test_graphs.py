@@ -8,6 +8,7 @@ from cosr import (
     ContractError,
     Graph,
     ParseError,
+    augment,
     delete_rows,
     derived_graph,
     find_c4,
@@ -19,8 +20,8 @@ from cosr import (
     pair_subgraph,
     parse_graph,
     serialize_graph,
-    vert,
     parse_matrix,
+    support,
 )
 from cosr.oracle import brute_maximal_cliques, random_instance
 
@@ -56,12 +57,33 @@ def test_derived_graph_examples():
     assert sorted(derived_graph(chain).edges()) == [(1, 2), (2, 3)]
 
 
-def test_vert_examples():
-    assert vert(IDENT3, 1) == {1}
-    assert vert(M1, 6) == {2, 3}
-    assert vert(parse_matrix("2 2\n10\n10\n"), 2) == frozenset()
-    with pytest.raises(ValueError):
-        vert(IDENT3, 5)
+def _derived_graph_by_edges(M):
+    """The edge-list build that the incidence masks replaced."""
+    edges = []
+    for j in range(M.n):
+        members = [label for label, mask in zip(M.row_ids, M.rows) if mask >> j & 1]
+        edges += combinations(members, 2)
+    return Graph(M.row_ids, edges)
+
+
+def test_derived_graph_matches_edge_list_build():
+    # unsorted, gapped and negative labels, all-zero rows, and the
+    # augmented matrices the leaf builds
+    rng = random.Random(99)
+    shapes = {"unsorted": 0, "negative": 0, "zero row": 0}
+    for _ in range(300):
+        m, n = rng.randint(0, 9), rng.randint(0, 7)
+        rows = tuple(rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(m))
+        labels = tuple(rng.sample(range(-15, 30), m))
+        shapes["unsorted"] += list(labels) != sorted(labels)
+        shapes["negative"] += any(label < 0 for label in labels)
+        shapes["zero row"] += 0 in rows
+        cols = tuple(range(1, n + 1))
+        M = BinaryMatrix(labels, cols, rows)
+        aug = augment(BinaryMatrix(tuple(label + 16 for label in labels), cols, rows))
+        for matrix in (M, aug):
+            assert derived_graph(matrix) == _derived_graph_by_edges(matrix), matrix
+    assert min(shapes.values()) > 100, shapes
 
 
 def test_helly_violation_kinds():
@@ -183,6 +205,34 @@ def test_find_c4():
     assert find_c4(cycle(5)) is None
 
 
+def _c4_by_labels(G):
+    """The label scan over neighbor sets that the mask scan replaced."""
+    vs = G.vertices
+    for ai, a in enumerate(vs):
+        for c in vs[ai + 1 :]:
+            if c in G.neighbors(a):
+                continue
+            common = sorted(G.neighbors(a) & G.neighbors(c))
+            for bi, b in enumerate(common):
+                for d in common[bi + 1 :]:
+                    if d not in G.neighbors(b):
+                        return (a, b, c, d)
+    return None
+
+
+def test_find_c4_matches_label_scan():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(400):
+        labels = rng.sample(range(-10, 40), rng.randint(0, 10))
+        p = rng.random()
+        G = Graph(labels, [e for e in combinations(labels, 2) if rng.random() < p])
+        got = find_c4(G)
+        assert got == _c4_by_labels(G), G
+        found += got is not None
+    assert 50 < found < 350, found
+
+
 def test_is_chordal():
     assert is_chordal(complete(3)) is not None
     assert is_chordal(cycle(4)) is None
@@ -259,7 +309,7 @@ def test_find_uncovered_clique_core_is_inclusion_minimal():
         clique, core = got
         assert clique == frozenset(M.row_ids)
         assert len(core) >= 3
-        verts = [vert(M, c) for c in M.col_ids]
+        verts = [support(M, c) for c in M.col_ids]
         assert not any(core <= vs for vs in verts)
         for v in sorted(core):
             rest = core - {v}
@@ -269,7 +319,7 @@ def test_find_uncovered_clique_core_is_inclusion_minimal():
 def _uncovered_clique_by_labels(M):
     """The label-set scan that the mask scan replaced: one Graph per column pair."""
     G = derived_graph(M)
-    verts = [vert(M, c) for c in M.col_ids]
+    verts = [support(M, c) for c in M.col_ids]
     candidates = set()
     for a, b in combinations(M.col_ids, 2):
         sub = pair_subgraph(M, a, b)
@@ -340,24 +390,28 @@ def test_uncovered_clique_rejects_a_chordless_pair_subgraph():
 
 
 def test_pair_subgraphs_of_helly_clean_matrices():
-    # without Helly violations: a 4-cycle-free pair subgraph is chordal,
-    # and every induced cycle in a pair subgraph has length at most 4
-    checked = 0
-    for seed in range(400):
-        M = random_instance(seed, 4 + seed % 4, 4 + seed % 5, 0.45)
-        if find_helly_violation(M) is not None:
-            continue
+    # A pair subgraph is chordal iff it has no induced 4-cycle, on
+    # Helly-clean and Helly-violating matrices alike: the rows holding
+    # either column form two cliques that cover it, and a hole meets any
+    # clique in at most two vertices, so no hole is longer than 4.
+    # The sparser family is where Helly-clean pair subgraphs with holes
+    # turn up.
+    matrices = [random_instance(seed, 4 + seed % 4, 4 + seed % 5, 0.45) for seed in range(400)]
+    matrices += [random_instance(seed, 6 + seed % 4, 4 + seed % 5, 0.3) for seed in range(800)]
+    checked = {True: [0, 0], False: [0, 0]}  # Helly-clean -> [chordal, not]
+    for M in matrices:
+        counts = checked[find_helly_violation(M) is None]
         for i, ci in enumerate(M.col_ids):
             for cj in M.col_ids[i + 1 :]:
                 sub = pair_subgraph(M, ci, cj)
-                if find_c4(sub) is None:
-                    assert is_chordal(sub) is not None
-                    checked += 1
-    assert checked > 50
+                chordal = is_chordal(sub) is not None
+                assert chordal == (find_c4(sub) is None)
+                counts[not chordal] += 1
+    assert min(checked[True] + checked[False]) > 10, checked
 
 
 def test_maximal_cliques_covered_by_column_pairs_when_helly_clean():
-    # every maximal clique lives inside vert(ci) | vert(cj) for some pair;
+    # every maximal clique lives inside support(ci) | support(cj) for some pair;
     # isolated vertices of all-zero rows are the documented exception
     checked = 0
     for seed in range(300):
@@ -366,7 +420,7 @@ def test_maximal_cliques_covered_by_column_pairs_when_helly_clean():
             continue
         G = derived_graph(M)
         zero_rows = {r for r, mask in zip(M.row_ids, M.rows) if mask == 0}
-        verts = [vert(M, c) for c in M.col_ids]
+        verts = [support(M, c) for c in M.col_ids]
         for clique in brute_maximal_cliques(G):
             if clique <= zero_rows:
                 continue

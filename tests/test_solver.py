@@ -16,8 +16,8 @@ from cosr import (
     find_uncovered_clique,
     half_adjacency,
     parse_matrix,
+    support,
     verify_cop,
-    vert,
 )
 from cosr.solver import SolveStats, _find_rule2_cycle
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
@@ -122,11 +122,11 @@ def test_leaf_state_is_rule_clean_and_clique_matrix():
         assert find_uncovered_clique(matrix) is None
         zero = {r for r, mask in zip(matrix.row_ids, matrix.rows) if mask == 0}
         live = delete_rows(matrix, zero)
-        verts = {vert(live, c) for c in live.col_ids}
+        verts = {support(live, c) for c in live.col_ids}
         assert set(brute_maximal_cliques(derived_graph(live))) <= verts
         aug = augment(live)
         assert set(brute_maximal_cliques(derived_graph(aug))) == {
-            vert(aug, c) for c in aug.col_ids
+            support(aug, c) for c in aug.col_ids
         }
 
 
