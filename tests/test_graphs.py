@@ -49,6 +49,15 @@ def random_graph(rng, n, p):
     return Graph(range(1, n + 1), edges)
 
 
+def test_vert_examples():
+    # vert was an alias of support; its examples stay, on support
+    assert support(IDENT3, 1) == {1}
+    assert support(M1, 6) == {2, 3}
+    assert support(parse_matrix("2 2\n10\n10\n"), 2) == frozenset()
+    with pytest.raises(ValueError):
+        support(IDENT3, 5)
+
+
 def test_derived_graph_examples():
     assert derived_graph(IDENT3).edge_count() == 0
     g1 = derived_graph(M1)

@@ -119,7 +119,6 @@ def test_support_examples():
     assert support(ident, 2) == {2}
     M1 = parse_matrix(M1_TEXT)
     assert support(M1, 1) == {1, 3}
-    assert support(M1, 6) == {2, 3}
     assert support(parse_matrix("2 2\n10\n10\n"), 2) == frozenset()
     with pytest.raises(ValueError):
         support(ident, 9)
