@@ -79,8 +79,8 @@ def _parse_bipartite(text: str) -> tuple[Graph, frozenset[int]]:
     kept: list[str] = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line.startswith("sides"):
-            parts = line.split()
+        parts = line.split()
+        if parts[:1] == ["sides"]:
             if sides is not None or len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(no, f"bad side partition line {line!r}")
             sides = int(parts[1])

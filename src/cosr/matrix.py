@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .errors import ParseError
@@ -39,9 +40,9 @@ class BinaryMatrix:
         if len(set(self.col_ids)) != len(self.col_ids):
             raise ValueError("duplicate column label")
         full = (1 << self.n) - 1
-        for label, mask in zip(self.row_ids, self.rows):
-            if mask & ~full:
-                raise ValueError(f"row {label}: bit outside column range")
+        if self.rows and (min(self.rows) < 0 or max(self.rows) > full):
+            label = next(r for r, mask in zip(self.row_ids, self.rows) if mask & ~full)
+            raise ValueError(f"row {label}: bit outside column range")
         for label in self.identity_rows:
             if label not in self.row_index:
                 raise ValueError(f"identity marker {label} is not a row")
@@ -159,14 +160,14 @@ def serialize_matrix(M: BinaryMatrix) -> str:
 def delete_rows(M: BinaryMatrix, deleted: Iterable[int]) -> BinaryMatrix:
     """Remove the given rows; survivors keep their labels, columns stay."""
     drop = frozenset(deleted)
-    unknown = drop - set(M.row_ids)
+    unknown = drop.difference(M.row_ids)
     if unknown:
         raise ValueError(f"unknown row label {min(unknown)}")
-    keep = [(label, mask) for label, mask in zip(M.row_ids, M.rows) if label not in drop]
+    keep = [label not in drop for label in M.row_ids]
     return BinaryMatrix(
-        row_ids=tuple(label for label, _ in keep),
+        row_ids=tuple(compress(M.row_ids, keep)),
         col_ids=M.col_ids,
-        rows=tuple(mask for _, mask in keep),
+        rows=tuple(compress(M.rows, keep)),
         identity_rows=M.identity_rows - drop,
     )
 

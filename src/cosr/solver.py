@@ -3,8 +3,9 @@
 Given a binary matrix and a budget d, decide whether deleting at most d
 rows leaves a matrix with the consecutive ones property, and produce the
 rows plus a column-order certificate when it does. Each call first tries
-the cheap exits (already consecutive-ones; budget exhausted), then fires
-the first applicable of three branching rules:
+the cheap exits (budget exhausted; already consecutive-ones), then fires
+the first applicable of three branching rules. Below the root rule 1's
+scan comes first, since its hit refutes consecutive ones:
 
 1. three pairwise-intersecting row sets with an empty common
    intersection, or none of which lies in the union of the other two
@@ -106,10 +107,19 @@ def _solve(
     # Step 1: budget exhausted.
     if budget < 0:
         return None
-    # Step 0: done if the matrix already has the property.
-    order = cop_order(matrix)
-    if order is not None:
-        return accumulated, matrix, order
+    # Step 0: done if the matrix already has the property. The root tries
+    # it first, so an input with the property costs one call. Below the
+    # root rule 1's resumed scan goes first: rows with the property are
+    # intervals of one column order, and pairwise-meeting intervals form
+    # no H1 or H2 triple, so after a hit ``cop_order`` could only say None.
+    below_root = bool(accumulated)
+    violation = find_helly_violation(matrix, helly_start) if below_root else None
+    if violation is None:
+        order = cop_order(matrix)
+        if order is not None:
+            return accumulated, matrix, order
+        if not below_root:
+            violation = find_helly_violation(matrix, helly_start)
 
     branch_rows: Iterable[int] | None = None
     # Whether a triple violates H1 or H2 depends on its three rows alone,
@@ -121,7 +131,6 @@ def _solve(
     # rule-3 node the parent was Helly-clean, so every child is too and
     # its scan starts past the last row.
     child_start = matrix.m
-    violation = find_helly_violation(matrix, helly_start)
     if violation is not None:
         stats.rule1 += 1
         branch_rows = violation.rows

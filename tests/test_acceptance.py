@@ -5,6 +5,7 @@ criteria execute. The corpus run (random matrices cross-checked against
 the brute-force oracle) is shared by the criteria that consume it.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -67,12 +68,15 @@ def corpus_run():
     bad_solutions = []
     bound_breaches = []
     leaves = {}
+    answers = hashlib.sha256()
     started = time.monotonic()
     for idx, M in enumerate(matrices):
         best = brute_cosr(M, 3)
         for d in range(4):
             grabbed = []
             report = cos_r(M, d, on_leaf=lambda mat, b: grabbed.append((mat, b)))
+            answers.update(report.to_text().encode())
+            answers.update(repr(report.stats.as_dict()).encode())
             for mat, b in grabbed:
                 leaves.setdefault((mat.rows, mat.n, b), mat)
             expected = best is not None and len(best) <= d
@@ -96,6 +100,7 @@ def corpus_run():
         "bound_breaches": bound_breaches,
         "leaves": leaves,
         "elapsed": elapsed,
+        "answers_sha256": answers.hexdigest(),
     }
 
 
@@ -111,6 +116,13 @@ def test_criterion_1_solver_matches_oracle(corpus_run):
     assert not data["verdict_mismatches"]
     assert not data["bad_solutions"]
     assert data["elapsed"] < 300
+
+
+def test_corpus_answers_are_byte_identical(corpus_run):
+    # SHA-256 over each solve's to_text() then repr(stats.as_dict()), in
+    # corpus order: verdicts, deleted rows, certificates and all counters.
+    # A speed-up that changes none of them leaves this prefix as it is.
+    assert corpus_run["answers_sha256"][:16] == "935ef60c5d8331c3"
 
 
 @pytest.fixture(scope="module")

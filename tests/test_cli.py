@@ -182,6 +182,17 @@ def test_missing_sides_line(tmp_path, capsys):
     assert "sides" in capsys.readouterr().err
 
 
+def test_sides_line_needs_the_exact_keyword(capsys, monkeypatch):
+    # "sidesX 2" is not a partition line, so the file has none
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 3\nsidesX 2\n1 3\n1 4\n2 3\n"))
+    assert run(["convex-bipartite", "--d", "1", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_check_cop_deep_staircase(tmp_path, capsys):
     # row r holds the first r + 1 columns: components nest 1,200 deep
     from cosr import parse_matrix, verify_cop

@@ -168,11 +168,43 @@ def test_cop_order_matches_exhaustive_search_small():
             assert verify_cop(M, order)
 
 
+def _gapped_runs(seed, n):
+    """Consecutive runs in a hidden column order, plus two rows with a gap."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = []
+    for _ in range(n):
+        lo = rng.randrange(n - 1)
+        rows.append(sum(1 << order[p] for p in range(lo, rng.randrange(lo + 1, n) + 1)))
+    for _ in range(2):
+        first = rng.randrange(n - 2)
+        gap = rng.randrange(first + 1, n - 1)
+        last = rng.randrange(gap + 1, n)
+        rows.append(sum(1 << order[p] for p in range(first, last + 1) if p != gap))
+    rng.shuffle(rows)
+    return BinaryMatrix(tuple(range(1, len(rows) + 1)), tuple(range(1, n + 1)), tuple(rows))
+
+
 def test_cop_implies_no_helly_violation():
-    for seed in range(120):
-        M = random_instance(seed, 6, 6, 0.5)
-        if cop_order(M) is not None:
-            assert find_helly_violation(M) is None
+    # The solver skips step 0 below the root when rule 1 hits, on this
+    # lemma: rows with the property are intervals of one column order;
+    # pairwise-meeting intervals share a point (no H1), and one of any
+    # three lies in the union of the other two (no H2).
+    cases = [
+        random_instance(1000 * m + 10 * n + k, m, n, density)
+        for m in range(3, 10)
+        for n in range(3, 10)
+        for k, density in enumerate((0.3, 0.5, 0.7))
+    ]
+    cases += [_gapped_runs(seed, 4 + seed % 6) for seed in range(60)]
+    kinds = set()
+    for M in cases:
+        hits = [v for v in (find_helly_violation(M, s) for s in range(M.m)) if v is not None]
+        kinds.update(v.kind for v in hits)
+        if hits:
+            assert cop_order(M) is None and brute_cop(M) is None
+    assert kinds == {"H1", "H2"}
 
 
 def test_cop_order_deterministic():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cosr import (
@@ -77,6 +79,44 @@ def test_delete_unknown_row():
     M = parse_matrix("1 1\n1")
     with pytest.raises(ValueError):
         delete_rows(M, {4})
+
+
+def _old_delete_rows(M, deleted):
+    """The tuple-list implementation ``delete_rows`` replaced."""
+    drop = frozenset(deleted)
+    unknown = drop - set(M.row_ids)
+    if unknown:
+        raise ValueError(f"unknown row label {min(unknown)}")
+    keep = [(label, mask) for label, mask in zip(M.row_ids, M.rows) if label not in drop]
+    return BinaryMatrix(
+        row_ids=tuple(label for label, _ in keep),
+        col_ids=M.col_ids,
+        rows=tuple(mask for _, mask in keep),
+        identity_rows=M.identity_rows - drop,
+    )
+
+
+def test_delete_rows_matches_old_implementation():
+    rng = random.Random(7)
+    for seed in range(150):
+        R = random_instance(seed, rng.randrange(0, 9), rng.randrange(0, 7), 0.5)
+        # gapped, negative and unsorted labels; augment's identity rows
+        # take -1..-n, so odd seeds draw their own labels below that
+        low = -R.n if seed % 2 else 0
+        labels = rng.sample([*range(-40, low), *range(1, 40)], R.m)
+        M = BinaryMatrix(tuple(labels), R.col_ids, R.rows)
+        if seed % 2:
+            M = augment(M)
+        drop = rng.sample(M.row_ids, rng.randrange(0, M.m + 1))
+        want = _old_delete_rows(M, drop)
+        for deleted in (drop, drop + drop, iter(drop), (r for r in drop)):
+            assert delete_rows(M, deleted) == want  # identity_rows included
+        # several unknown labels: the message names the smallest, not the first
+        unknown = [1000 + seed, max(M.row_ids, default=0) + 5]
+        for deleted in (unknown + drop, iter(drop + unknown)):
+            with pytest.raises(ValueError) as err:
+                delete_rows(M, deleted)
+            assert str(err.value) == f"unknown row label {min(unknown)}"
 
 
 def test_augment_definition():
@@ -186,3 +226,12 @@ def test_invalid_construction_rejected():
         BinaryMatrix((1, 2), (1, 2), (3, 1), identity_rows=frozenset({1}))
     with pytest.raises(ValueError):
         BinaryMatrix((1,), (1,), (1,), identity_rows=frozenset({9}))
+
+
+def test_out_of_range_row_names_the_first_offender():
+    # negative masks set every high bit, so they are out of range too
+    for rows, label in (((1, 8, 16), 5), ((-1, 2, 9), 4), ((1, 2, -4), 6), ((7, 0, 8), 6)):
+        with pytest.raises(ValueError, match=f"^row {label}: bit outside column range$"):
+            BinaryMatrix((4, 5, 6), (1, 2, 3), rows)
+    assert BinaryMatrix((4, 5, 6), (1, 2, 3), (7, 0, 4)).rows == (7, 0, 4)
+    assert BinaryMatrix((4,), (), (0,)).rows == (0,)

@@ -378,3 +378,41 @@ def test_pinned_answers_and_counters():
     for args, text, stats in PINNED_MIXED:
         report = cos_r(random_instance(*args), 2)
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats))), args
+
+
+def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
+    # Below the root, rule 1's scan runs first and cop_order only when the
+    # scan is clean: an H1 or H2 triple already proves there is no COP order.
+    import cosr.solver
+
+    events = []
+
+    def recording(name, inner):
+        def wrapper(matrix, *args):
+            result = inner(matrix, *args)
+            events.append((name, matrix, result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(cosr.solver, "cop_order", recording("cop", cosr.solver.cop_order))
+    monkeypatch.setattr(cosr.solver, "find_helly_violation", recording("helly", cosr.solver.find_helly_violation))
+    keys = tuple(SolveStats().as_dict())
+    cases = [(_planted(*args), d, text, stats) for args, d, text, stats in PINNED_PLANTED]
+    cases += [(random_instance(*args), 2, text, stats) for args, text, stats in PINNED_MIXED]
+    hits = 0
+    for M, d, text, stats in cases:
+        events.clear()
+        report = cos_r(M, d)
+        assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats)))
+        assert [name for name, mat, _ in events if mat is M] == ["cop", "helly"]
+        for pos, (name, mat, result) in enumerate(events):
+            if name != "helly" or mat is M:
+                continue
+            cops = [i for i, (n, other, _) in enumerate(events) if n == "cop" and other is mat]
+            if result is not None:
+                hits += 1
+                assert cops == []  # no step 0 where rule 1 fires
+            else:
+                assert len(cops) == 1 and cops[0] > pos  # step 0 once, after the clean scan
+    assert hits > 100
