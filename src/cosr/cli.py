@@ -17,7 +17,7 @@ from .interval import interval_deletion
 from .matrix import delete_rows, parse_matrix, serialize_matrix
 from .oracle import brute_cop, brute_cosr, brute_interval_deletion, random_instance
 from .cop import cop_order
-from .solver import SolveReport, SolveStats, convex_bipartite_deletion, cos_r
+from .solver import SolveReport, convex_bipartite_deletion, cos_r
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -31,15 +31,11 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _print_stats(stats: SolveStats) -> None:
-    for key, value in stats.as_dict().items():
-        print(f"# {key} {value}")
-
-
 def _emit_report(report: SolveReport, show_stats: bool) -> int:
     sys.stdout.write(report.to_text())
     if show_stats:
-        _print_stats(report.stats)
+        for key, value in report.stats.as_dict().items():
+            print(f"# {key} {value}")
     return EXIT_YES if report.feasible else EXIT_NO
 
 
@@ -84,7 +80,7 @@ def _parse_bipartite(text: str) -> tuple[Graph, frozenset[int]]:
             if sides is not None or len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(no, f"bad side partition line {line!r}")
             sides = int(parts[1])
-            continue
+            raw = ""  # a blank in its place keeps later line numbers
         kept.append(raw)
     if sides is None:
         raise ParseError(1, "missing 'sides k' line")

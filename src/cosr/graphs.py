@@ -260,23 +260,11 @@ def is_simplicial(G: Graph, v: int) -> bool:
     return all(nbrs & ~(G._adj[u] | 1 << u) == 0 for u in _bits(nbrs))
 
 
-def find_uncovered_clique(
+def _scan_column_pairs(
     M: BinaryMatrix,
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A maximal clique of the derived graph not realized by any column.
-
-    Assumes no Helly violation and no induced 4-cycle in any column-pair
-    subgraph, which makes every pair subgraph chordal and lets the pair
-    scan enumerate every maximal clique of the derived graph. Returns the
-    first uncovered clique Q (in canonical member order) together with an
-    inclusion-minimal Q' of Q contained in no column's vertex set,
-    obtained by greedy removal in ascending label order. None when every
-    maximal clique equals some column's vertex set.
-
-    Isolated vertices coming from all-zero rows belong to no column and
-    are deliberately not treated as uncovered cliques; they cannot affect
-    whether the matrix can reach the consecutive ones property.
-    """
+) -> tuple[tuple[int, int] | None, tuple[frozenset[int], frozenset[int]] | None]:
+    """Rules 2 and 3 in one pass: the labels of the first column pair whose
+    subgraph is not chordal, else None and ``find_uncovered_clique``'s answer."""
     G, verts = _derived(M)
     adj = G._adj
     # The search, the PEO check and the clique listing read only
@@ -289,9 +277,7 @@ def find_uncovered_clique(
         for j in range(i + 1, M.n):
             order = _mcs_order(adj, verts[i] | verts[j])
             if not _is_peo(adj, order):
-                raise ContractError(
-                    f"pair subgraph of columns {M.col_ids[i]}, {M.col_ids[j]} is not chordal"
-                )
+                return (M.col_ids[i], M.col_ids[j]), None
             for clique in _clique_masks(adj, order):
                 common = -1
                 for v in _bits(clique):
@@ -310,8 +296,31 @@ def find_uncovered_clique(
             if not covered(minimal & ~(1 << v)):
                 minimal &= ~(1 << v)
         assert minimal.bit_count() >= 3, "two clique members always share a column"
-        return G.labels(clique), G.labels(minimal)
-    return None
+        return None, (G.labels(clique), G.labels(minimal))
+    return None, None
+
+
+def find_uncovered_clique(
+    M: BinaryMatrix,
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """A maximal clique of the derived graph not realized by any column.
+
+    Assumes no Helly violation and no induced 4-cycle in any column-pair
+    subgraph, which makes every pair subgraph chordal and lets the pair
+    scan enumerate every maximal clique of the derived graph. Returns the
+    first uncovered clique Q (in canonical member order) together with an
+    inclusion-minimal Q' of Q contained in no column's vertex set,
+    obtained by greedy removal in ascending label order. None when every
+    maximal clique equals some column's vertex set.
+
+    Isolated vertices coming from all-zero rows belong to no column and
+    are deliberately not treated as uncovered cliques; they cannot affect
+    whether the matrix can reach the consecutive ones property.
+    """
+    pair, uncovered = _scan_column_pairs(M)
+    if pair is not None:
+        raise ContractError(f"pair subgraph of columns {pair[0]}, {pair[1]} is not chordal")
+    return uncovered
 
 
 def parse_graph(text: str) -> Graph:

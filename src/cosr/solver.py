@@ -1,11 +1,11 @@
-"""Recursive branching solver for consecutive-ones row deletion.
+"""Branching solver for consecutive-ones row deletion.
 
 Given a binary matrix and a budget d, decide whether deleting at most d
 rows leaves a matrix with the consecutive ones property, and produce the
-rows plus a column-order certificate when it does. Each call first tries
-the cheap exits (budget exhausted; already consecutive-ones), then fires
-the first applicable of three branching rules. Below the root rule 1's
-scan comes first, since its hit refutes consecutive ones:
+rows plus a column-order certificate when it does. Each search node first
+tries the cheap exits (budget exhausted; already consecutive-ones), then
+fires the first applicable of three branching rules. Below the root rule
+1's scan comes first, since its hit refutes consecutive ones:
 
 1. three pairwise-intersecting row sets with an empty common
    intersection, or none of which lies in the union of the other two
@@ -15,10 +15,11 @@ scan comes first, since its hit refutes consecutive ones:
 3. a maximal clique of the derived graph realized by no column,
    shrunk to an inclusion-minimal uncovered core.
 
-Each rule deletes one row per child and lowers the budget, so the branch
-tree has at most 4^d internal splits. When no rule applies, the identity
-augmentation turns the matrix into the clique matrix of its derived
-graph and the residue is solved exactly as interval vertex deletion.
+One pass over the column pairs of one derived graph decides rules 2
+and 3. Each rule deletes one row per child and lowers the budget, so the
+branch tree has at most 4^d internal splits. When no rule applies, the
+identity augmentation turns the matrix into the clique matrix of its
+derived graph and the residue is solved exactly as interval vertex deletion.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .graphs import Graph, derived_graph, find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph
-# ``interval_deletion`` and ``set_system`` stay importable from here: the
-# benchmark's tracer wraps ``cosr.solver.interval_deletion`` and
-# ``cosr.solver.set_system`` by name. The leaf reads its node budget as
-# ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it here.
+# ``find_uncovered_clique``, ``interval_deletion`` and ``set_system`` stay
+# here for the benchmark's tracer, which wraps them in ``cosr.solver`` by name.
+# The leaf reads ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it.
+from .graphs import Graph, _scan_column_pairs, derived_graph, find_c4, find_helly_violation, pair_subgraph
+from .graphs import find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
 from .cop import cop_order, verify_cop
 from .matrix import BinaryMatrix, augment, delete_rows, set_system  # noqa: F401
@@ -87,62 +88,63 @@ class SolveReport:
 
 def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     """Rows of the first induced 4-cycle over all column-pair subgraphs."""
-    for i in range(M.n):
-        for j in range(i + 1, M.n):
-            cycle = find_c4(pair_subgraph(M, M.col_ids[i], M.col_ids[j]))
-            if cycle is not None:
-                return cycle
-    return None
+    pair, _ = _scan_column_pairs(M)
+    return None if pair is None else find_c4(pair_subgraph(M, *pair))
 
 
 def _solve(
-    matrix: BinaryMatrix,
-    accumulated: frozenset[int],
-    budget: int,
+    M: BinaryMatrix,
+    d: int,
     stats: SolveStats,
     on_leaf: Callable[[BinaryMatrix, int], None] | None,
-    helly_start: int = 0,
 ) -> tuple[frozenset[int], BinaryMatrix, tuple[int, ...]] | None:
-    """The deleted rows, the survivor and its column order, or None."""
-    # Step 1: budget exhausted.
-    if budget < 0:
-        return None
-    # Step 0: done if the matrix already has the property. The root tries
-    # it first, so an input with the property costs one call. Below the
-    # root rule 1's resumed scan goes first: rows with the property are
-    # intervals of one column order, and pairwise-meeting intervals form
-    # no H1 or H2 triple, so after a hit ``cop_order`` could only say None.
-    below_root = bool(accumulated)
-    violation = find_helly_violation(matrix, helly_start) if below_root else None
-    if violation is None:
-        order = cop_order(matrix)
-        if order is not None:
-            return accumulated, matrix, order
-        if not below_root:
-            violation = find_helly_violation(matrix, helly_start)
+    """The deleted rows, the survivor and its column order, or None, from a
+    depth-first search on an explicit stack: no recursion limit applies."""
+    stack: list[tuple[BinaryMatrix, int | None, frozenset[int], int, int]] = [(M, None, frozenset(), d, 0)]
+    while stack:
+        parent, deleted, accumulated, budget, helly_start = stack.pop()
+        matrix = parent if deleted is None else delete_rows(parent, {deleted})
+        # Step 1: budget exhausted.
+        if budget < 0:
+            continue
+        # Step 0: done if the matrix already has the property. The root tries
+        # it first, so an input with the property costs one call. Below the
+        # root rule 1's resumed scan goes first: rows with the property are
+        # intervals of one column order, and pairwise-meeting intervals form
+        # no H1 or H2 triple, so after a hit ``cop_order`` could only say None.
+        below_root = bool(accumulated)
+        violation = find_helly_violation(matrix, helly_start) if below_root else None
+        if violation is None:
+            order = cop_order(matrix)
+            if order is not None:
+                return accumulated, matrix, order
+            if not below_root:
+                violation = find_helly_violation(matrix, helly_start)
 
-    branch_rows: Iterable[int] | None = None
-    # Whether a triple violates H1 or H2 depends on its three rows alone,
-    # and ``delete_rows`` keeps row order, so a child's triples are its
-    # parent's triples that avoid the deleted row, in the same order.
-    # Below a rule-1 node, every parent triple before the first hit
-    # (i, j, k) is clean and the rows before position i are unchanged,
-    # so the child's scan may start at position i. Below a rule-2 or
-    # rule-3 node the parent was Helly-clean, so every child is too and
-    # its scan starts past the last row.
-    child_start = matrix.m
-    if violation is not None:
-        stats.rule1 += 1
-        branch_rows = violation.rows
-        child_start = matrix.row_ids.index(violation.rows[0])
-    else:
-        cycle = _find_rule2_cycle(matrix)
-        if cycle is not None:
-            stats.rule2 += 1
-            branch_rows = cycle
+        branch_rows: Iterable[int] | None = None
+        # Whether a triple violates H1 or H2 depends on its three rows alone,
+        # and ``delete_rows`` keeps row order, so a child's triples are its
+        # parent's triples that avoid the deleted row, in the same order.
+        # Below a rule-1 node, every parent triple before the first hit
+        # (i, j, k) is clean and the rows before position i are unchanged,
+        # so the child's scan may start at position i. Below a rule-2 or
+        # rule-3 node the parent was Helly-clean, so every child is too and
+        # its scan starts past the last row.
+        child_start = matrix.m
+        if violation is not None:
+            stats.rule1 += 1
+            branch_rows = violation.rows
+            child_start = matrix.row_ids.index(violation.rows[0])
         else:
-            uncovered = find_uncovered_clique(matrix)
-            if uncovered is not None:
+            # A pair subgraph is chordal iff it has no induced C4: its two
+            # columns' rows are cliques covering it, and a hole meets a
+            # clique in at most two vertices. So one pass decides rules 2 and
+            # 3, and it stops at the first pair on which ``find_c4`` hits.
+            pair, uncovered = _scan_column_pairs(matrix)
+            if pair is not None:
+                stats.rule2 += 1
+                branch_rows = find_c4(pair_subgraph(matrix, *pair))
+            elif uncovered is not None:
                 stats.rule3 += 1
                 _, core = uncovered
                 # Three core rows suffice even when the core has k > 3.
@@ -156,41 +158,33 @@ def _solve(
                 # core rows, hence at least one of any 3.
                 branch_rows = sorted(core)[:3]
 
-    if branch_rows is not None:
-        for row in sorted(branch_rows):
-            result = _solve(
-                delete_rows(matrix, {row}),
-                accumulated | {row},
-                budget - 1,
-                stats,
-                on_leaf,
-                child_start,
-            )
-            if result is not None:
-                return result
-        return None
+        if branch_rows is not None:
+            # Popped in ascending row order, each subtree before the next.
+            for row in sorted(branch_rows, reverse=True):
+                stack.append((matrix, row, accumulated | {row}, budget - 1, child_start))
+            continue
 
-    # Step 5: no rule applies; the augmented matrix is the clique matrix
-    # of its derived graph and the residue reduces to interval deletion.
-    # Deletion is confined to original-row vertices: an unrestricted
-    # solution may consume budget on identity vertices without making
-    # the matrix side feasible, and restricting loses no exactness
-    # because the three-rule-clean state survives original-row deletion.
-    stats.leaves += 1
-    if on_leaf is not None:
-        on_leaf(matrix, budget)
-    aug = augment(matrix)
-    graph = derived_graph(aug)
-    removed, nodes, fell_back = _interval_deletion(graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows)
-    stats.leaf_nodes += nodes
-    stats.leaf_fallbacks += fell_back
-    # Step 6: derived-graph vertices carry the row labels, so ``removed``
-    # already names rows of the original matrix.
-    if removed is None:
-        return None
-    assert not removed & aug.identity_rows
-    survivor = delete_rows(matrix, removed)
-    return accumulated | removed, survivor, cop_order(survivor)
+        # Step 5: no rule applies; the augmented matrix is the clique matrix
+        # of its derived graph and the residue reduces to interval deletion.
+        # Deletion is confined to original-row vertices: an unrestricted
+        # solution may consume budget on identity vertices without making
+        # the matrix side feasible, and restricting loses no exactness
+        # because the three-rule-clean state survives original-row deletion.
+        stats.leaves += 1
+        if on_leaf is not None:
+            on_leaf(matrix, budget)
+        aug = augment(matrix)
+        graph = derived_graph(aug)
+        removed, nodes, fell_back = _interval_deletion(graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows)
+        stats.leaf_nodes += nodes
+        stats.leaf_fallbacks += fell_back
+        # Step 6: derived-graph vertices carry the row labels, so ``removed``
+        # already names rows of the original matrix.
+        if removed is not None:
+            assert not removed & aug.identity_rows
+            survivor = delete_rows(matrix, removed)
+            return accumulated | removed, survivor, cop_order(survivor)
+    return None
 
 
 def cos_r(
@@ -208,7 +202,7 @@ def cos_r(
     if d < 0:
         raise ValueError("deletion budget must be non-negative")
     stats = SolveStats()
-    found = _solve(M, frozenset(), d, stats, on_leaf)
+    found = _solve(M, d, stats, on_leaf)
     if found is None:
         return SolveReport(False, None, None, stats)
     solution, survivor, certificate = found

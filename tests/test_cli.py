@@ -193,6 +193,21 @@ def test_sides_line_needs_the_exact_keyword(capsys, monkeypatch):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 3\nsides 2\n1 3\n1 4\n9 3\n", "error: line 5: edge (9, 3) must satisfy 1 <= u < v <= 4\n"),
+        ("4 3\nsides 2\n1 3\n1 4\n2 3\nextra\n", "error: line 6: trailing content after last edge\n"),
+    ],
+)
+def test_bipartite_parse_errors_count_the_sides_line(text, message, capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["convex-bipartite", "--d", "1", "-"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_check_cop_deep_staircase(tmp_path, capsys):
     # row r holds the first r + 1 columns: components nest 1,200 deep
     from cosr import parse_matrix, verify_cop

@@ -23,7 +23,9 @@ from cosr import (
     parse_matrix,
     support,
 )
+from cosr.graphs import _scan_column_pairs
 from cosr.oracle import brute_maximal_cliques, random_instance
+from cosr.solver import _find_rule2_cycle
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
 M2 = parse_matrix("3 8\n1 0 1 0 1 1 0 0\n0 1 0 1 0 1 1 0\n1 0 0 0 0 1 0 1\n")
@@ -356,7 +358,9 @@ def _rules_1_and_2_clean(M):
     )
 
 
-def test_uncovered_clique_mask_scan_matches_label_scan():
+def _scan_matrices():
+    """Random matrices and survivors of ``delete_rows`` on them, and
+    complement-of-identity cores with gapped, negative, unsorted labels."""
     rng = random.Random(7)
     matrices = []
     for seed in range(200):
@@ -379,8 +383,12 @@ def test_uncovered_clique_mask_scan_matches_label_scan():
         row_ids = tuple(rng.sample(range(-20, 40), m))
         M = BinaryMatrix(row_ids, tuple(range(1, n + 1)), tuple(rows))
         matrices += [M, delete_rows(M, [rng.choice(row_ids)])]
+    return matrices
+
+
+def test_uncovered_clique_mask_scan_matches_label_scan():
     found = checked = 0
-    for M in matrices:
+    for M in _scan_matrices():
         if M.n < 2 or not _rules_1_and_2_clean(M):
             continue
         got = find_uncovered_clique(M)
@@ -388,6 +396,27 @@ def test_uncovered_clique_mask_scan_matches_label_scan():
         found += got is not None
         checked += 1
     assert checked > 400 and found > 50
+
+
+def test_one_pair_pass_matches_the_two_scans():
+    # Against the two scans the pass replaced: every pair's find_c4 for
+    # rule 2, then the label-set clique scan for rule 3. The sparse family
+    # adds pair subgraphs with holes.
+    sparse = [random_instance(seed, 6 + seed % 4, 4 + seed % 5, 0.3) for seed in range(150)]
+    outcomes = {"rule2": 0, "rule3": 0, "neither": 0, "helly": 0}
+    for M in _scan_matrices() + sparse:
+        cycle = next(
+            filter(None, (find_c4(pair_subgraph(M, a, b)) for a, b in combinations(M.col_ids, 2))), None
+        )
+        pair, uncovered = _scan_column_pairs(M)
+        assert _find_rule2_cycle(M) == cycle, M
+        if cycle is None:
+            assert pair is None and uncovered == _uncovered_clique_by_labels(M), M
+        else:
+            assert find_c4(pair_subgraph(M, *pair)) == cycle and uncovered is None, M
+        outcomes["rule2" if cycle else "rule3" if uncovered else "neither"] += 1
+        outcomes["helly"] += find_helly_violation(M) is not None
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_uncovered_clique_rejects_a_chordless_pair_subgraph():

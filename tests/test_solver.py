@@ -416,3 +416,52 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
             else:
                 assert len(cops) == 1 and cops[0] > pos  # step 0 once, after the clean scan
     assert hits > 100
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # k disjoint H1 triangles, each needing one deletion: the search goes k
+    # nodes deep, so it must not spend a Python frame per node.
+    import inspect
+    import sys
+
+    depth = len(inspect.stack(0))
+    k = 200
+    rows = tuple(3 << 3 * t + s if s < 2 else 5 << 3 * t for t in range(k) for s in range(3))
+    M = BinaryMatrix(tuple(range(1, 3 * k + 1)), tuple(range(1, 3 * k + 1)), rows)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        rep = cos_r(M, k)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rep.feasible and len(rep.solution) == k
+    assert {(r - 1) // 3 for r in rep.solution} == set(range(k))
+    assert rep.stats.rule1 == k
+    assert verify_cop(delete_rows(M, rep.solution), rep.certificate)
+
+
+def test_one_derived_graph_per_node(monkeypatch):
+    # Rules 2 and 3 share one derived graph per node; a rule-2 hit builds
+    # one more for its pair subgraph, and a leaf one for its augmentation.
+    import cosr.graphs
+
+    calls = []
+    inner = cosr.graphs._derived
+
+    def counting(M):
+        calls.append(None)
+        return inner(M)
+
+    monkeypatch.setattr(cosr.graphs, "_derived", counting)
+    hits = {"rule2": 0, "rule3": 0, "leaves": 0}
+    for i in range(168):
+        for k, density in enumerate((0.3, 0.5, 0.7)):
+            M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
+            for d in range(4):
+                calls.clear()
+                stats = cos_r(M, d).stats
+                scanned = stats.rule2 + stats.rule3 + stats.leaves  # nodes that reach rules 2 and 3
+                assert len(calls) <= scanned + stats.rule2 + stats.leaves, (i, k, d)
+                for key in hits:
+                    hits[key] += getattr(stats, key)
+    assert min(hits.values()) > 0, hits
