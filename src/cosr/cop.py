@@ -6,14 +6,14 @@ exists. The algorithm works on the row sets: rows connected by strict
 overlap (intersecting, neither containing the other) force each other's
 columns into a rigid sequence of blocks, unique up to reversal; the
 block sequences of different overlap components nest laminarly and are
-assembled recursively. Every certificate is re-checked with
-``verify_cop`` before being returned.
+assembled recursively. Every certificate is re-checked, by the
+prefix-mask test behind ``verify_cop``, before being returned.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractError
 from .matrix import BinaryMatrix, SetSystem, _bits
@@ -21,15 +21,21 @@ from .matrix import BinaryMatrix, SetSystem, _bits
 
 def verify_cop(M: BinaryMatrix, order: Sequence[int]) -> bool:
     """True iff under ``order`` every row's 1-entries sit consecutively."""
-    order = tuple(order)
-    if sorted(order) != sorted(M.col_ids):
+    # An unknown label maps past the last column, which ``_consecutive`` rejects.
+    return _consecutive(set(M.rows), [M.col_index.get(label, M.n) for label in order], M.n)
+
+
+def _consecutive(rows: Iterable[int], positions: Sequence[int], n: int) -> bool:
+    """True iff every row mask is consecutive when the columns are laid out
+    in ``positions``, which must list 0..n-1 once each."""
+    # prefix[t] masks the first t columns of ``positions``; a row with p ones
+    # is consecutive iff the p columns from its first one on are the row.
+    prefix = [0]
+    for p in positions:
+        prefix.append(prefix[-1] | 1 << p)
+    if len(positions) != n or prefix[-1] != (1 << n) - 1:
         raise ValueError("order is not a permutation of the matrix columns")
-    # prefix[t] masks the first t columns of ``order``; a row with p ones is
-    # consecutive iff the p columns from its first one on are the row.
-    col, prefix = M.col_index, [0]
-    for label in order:
-        prefix.append(prefix[-1] | 1 << col[label])
-    for mask in set(M.rows):
+    for mask in rows:
         ones = mask.bit_count()
         if ones > 1:
             lo = bisect_left(prefix, 1, key=mask.__and__) - 1
@@ -95,14 +101,13 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
     Deterministic: equal inputs yield the identical certificate. Rows
     with fewer than two 1s never constrain the order and are ignored.
     """
-    sets: list[int] = []
-    seen: set[int] = set()
-    for mask in M.rows:
-        if mask.bit_count() >= 2 and mask not in seen:
-            seen.add(mask)
-            sets.append(mask)
-    if not sets:
-        return tuple(M.col_ids)
+    positions = _cop_positions(M.rows, M.n)
+    return None if positions is None else tuple(map(M.col_ids.__getitem__, positions))
+
+
+def _cop_positions(rows: Iterable[int], n: int) -> list[int] | None:
+    """``cop_order`` on row masks over n columns: column positions, or None."""
+    sets = list(dict.fromkeys(mask for mask in rows if mask.bit_count() >= 2))
 
     k = len(sets)
     adj: list[list[int]] = [[] for _ in range(k)]
@@ -138,11 +143,8 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
             blocks = _insert_set(blocks, sets[idx])
             if blocks is None:
                 return None
-        union = 0
-        for b in blocks:
-            union |= b
         comp_blocks.append(blocks)
-        comp_union.append(union)
+        comp_union.append(sum(blocks))  # disjoint blocks: the sum is the union
 
     # Component unions form a laminar family; nest each one inside the
     # unique block of its tightest container. Equal unions are possible
@@ -194,7 +196,7 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
     # Expand components depth-first with an explicit stack: nesting can be
     # as deep as the number of rows (a staircase of nested prefixes).
     positions: list[int] = []
-    stack = entries([(1 << M.n) - 1], [roots])[::-1]
+    stack = entries([(1 << n) - 1], [roots])[::-1]
     while stack:
         item = stack.pop()
         if item < 0:
@@ -202,9 +204,8 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
         else:
             stack.extend(reversed(entries(comp_blocks[item], children[item])))
 
-    order = tuple(M.col_ids[p] for p in positions)
-    assert verify_cop(M, order), "recognizer produced an invalid certificate"
-    return order
+    assert _consecutive(sets, positions, n), "recognizer produced an invalid certificate"
+    return positions
 
 
 def interval_assignment(M: BinaryMatrix, order: Sequence[int]) -> dict[int, tuple[int, int]]:

@@ -9,14 +9,17 @@ falls back to exhaustive subset search if the branch tree outgrows a
 node budget, so the answer is exact regardless of input shape. The
 search works on the input graph's adjacency masks and a mask of the
 vertex positions still present; positions ascend with labels, so every
-"smallest label first" tie-break is a "lowest bit first" one.
+"smallest label first" tie-break is a "lowest bit first" one. It asks an
+interval test on that mask, which the d-COS-R solver replaces by a
+consecutive-ones test of its leaf matrix; MCS then only picks the witness.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
-from .cop import cop_order
+from .cop import _cop_positions
 from .errors import ContractError
 # ``is_chordal`` stays importable from here: the benchmark's tracer wraps
 # ``cosr.interval.is_chordal`` by name.
@@ -26,6 +29,8 @@ from .matrix import BinaryMatrix, _bits
 # Branch nodes a search may spend before it switches to the exhaustive
 # subset search.
 _NODE_LIMIT = 200_000
+
+_IntervalTest = Callable[[int], bool]  # is the subgraph on these live positions interval?
 
 
 def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
@@ -50,13 +55,12 @@ def _chordal_interval(adj: list[int], live: int) -> tuple[bool, bool]:
     order = _mcs_order(adj, live)
     if not _is_peo(adj, order):
         return False, False
-    rows = dict.fromkeys(order, 0)
+    rows = [0] * len(adj)
     cliques = _clique_masks(adj, order)
     for j, clique in enumerate(cliques):
         for v in _bits(clique):
             rows[v] |= 1 << j
-    M = BinaryMatrix(row_ids=tuple(rows), col_ids=tuple(range(len(cliques))), rows=tuple(rows.values()))
-    return True, cop_order(M) is not None
+    return True, _cop_positions(rows, len(cliques)) is not None
 
 
 def _mask(G: Graph, labels) -> int:
@@ -158,17 +162,16 @@ class _NodeBudgetExceeded(Exception):
 
 
 def _branch(
-    adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int
+    adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest
 ) -> int | None:
     counter[0] += 1
     if counter[0] > limit:
         raise _NodeBudgetExceeded
-    chordal, interval = _chordal_interval(adj, live)
-    if interval:
+    if interval(live):
         return 0
     if d <= 0:
         return None
-    if chordal:
+    if _is_peo(adj, _mcs_order(adj, live)):
         witness = _asteroidal_witness(adj, live)
         assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"
     else:
@@ -178,18 +181,18 @@ def _branch(
     # Any feasible deletion set must meet the witness; one avoiding the
     # forbidden vertices must meet its allowed part.
     for v in _bits(witness & ~forbidden):
-        sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit)
+        sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval)
         if sub is not None:
             return sub | 1 << v
     return None
 
 
-def _subset_search(adj: list[int], live: int, d: int, forbidden: int) -> int | None:
+def _subset_search(live: int, d: int, forbidden: int, interval: _IntervalTest) -> int | None:
     allowed = list(_bits(live & ~forbidden))
     for k in range(d + 1):
         for combo in combinations(allowed, k):
             drop = sum(1 << v for v in combo)
-            if _chordal_interval(adj, live & ~drop)[1]:
+            if interval(live & ~drop):
                 return drop
     return None
 
@@ -216,23 +219,41 @@ def interval_deletion(
 
 
 def _interval_deletion(
-    G: Graph, d: int, node_limit: int, forbidden: frozenset[int]
+    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest | None = None
 ) -> tuple[frozenset[int] | None, int, bool]:
     """``interval_deletion`` plus the number of branch nodes it ran and
-    whether it fell back to the exhaustive subset search."""
+    whether it fell back to the exhaustive subset search. ``interval`` stands
+    in for the graph test and must agree with it on every deletion set
+    outside ``forbidden``."""
     if d < 0:
         return None, 0, False
+    interval = interval or _graph_test(G)
     everything, banned = (1 << G.n) - 1, _mask(G, forbidden)
     counter = [0]
     try:
-        solution = _branch(G._adj, everything, d, banned, counter, node_limit)
+        solution = _branch(G._adj, everything, d, banned, counter, node_limit, interval)
         fell_back = False
     except _NodeBudgetExceeded:
-        solution = _subset_search(G._adj, everything, d, banned)
+        solution = _subset_search(everything, d, banned, interval)
         fell_back = True
     if solution is not None:
-        solution = minimalize_solution(G, G.labels(solution))
+        solution = G.labels(_minimalize(everything, solution, interval))
     return solution, counter[0], fell_back
+
+
+def _graph_test(G: Graph) -> _IntervalTest:
+    return lambda live: _chordal_interval(G._adj, live)[1]
+
+
+def _minimalize(everything: int, drop: int, interval: _IntervalTest) -> int:
+    """Drop positions from a feasible ``drop`` while the rest stays interval,
+    highest position first."""
+    if not interval(everything & ~drop):
+        raise ContractError("deletion set does not leave an interval graph")
+    for v in reversed(list(_bits(drop))):
+        if interval(everything & ~(drop & ~(1 << v))):
+            drop &= ~(1 << v)
+    return drop
 
 
 def minimalize_solution(G: Graph, deleted: frozenset[int]) -> frozenset[int]:
@@ -242,16 +263,4 @@ def minimalize_solution(G: Graph, deleted: frozenset[int]) -> frozenset[int]:
     the smallest-labeled representative when several single vertices
     would do. Requires that ``G`` minus ``deleted`` is already interval.
     """
-    deleted = frozenset(deleted)
-    everything = (1 << G.n) - 1
-
-    def interval_without(drop) -> bool:
-        return _chordal_interval(G._adj, everything & ~_mask(G, drop))[1]
-
-    if not interval_without(deleted):
-        raise ContractError("deletion set does not leave an interval graph")
-    current = set(deleted)
-    for v in sorted(deleted, reverse=True):
-        if interval_without(current - {v}):
-            current.discard(v)
-    return frozenset(current)
+    return G.labels(_minimalize((1 << G.n) - 1, _mask(G, deleted), _graph_test(G)))

@@ -20,6 +20,8 @@ and 3. Each rule deletes one row per child and lowers the budget, so the
 branch tree has at most 4^d internal splits. When no rule applies, the
 identity augmentation turns the matrix into the clique matrix of its
 derived graph and the residue is solved exactly as interval vertex deletion.
+Row deletion keeps that correspondence, so the leaf search tests its live
+rows for consecutive ones instead of testing the graph for intervality.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Callable, Iterable
 from .graphs import Graph, _scan_column_pairs, derived_graph, find_c4, find_helly_violation, pair_subgraph
 from .graphs import find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
-from .cop import cop_order, verify_cop
-from .matrix import BinaryMatrix, augment, delete_rows, set_system  # noqa: F401
+from .cop import _cop_positions, cop_order, verify_cop
+from .matrix import BinaryMatrix, _bits, augment, delete_rows, set_system  # noqa: F401
 
 
 @dataclass
@@ -175,7 +177,18 @@ def _solve(
             on_leaf(matrix, budget)
         aug = augment(matrix)
         graph = derived_graph(aug)
-        removed, nodes, fell_back = _interval_deletion(graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows)
+        # Lemma: for a set S of original rows, G - S is interval iff
+        # delete_rows(matrix, S) has COP, with G the derived graph of aug.
+        # (<=) COP rows are intervals of one column order.
+        # (=>) Up to all-zero rows, isolated vertices that change neither
+        #   side, aug is the clique matrix of G. Each column's identity
+        #   vertex keeps that column minus S a maximal clique of G - S, so
+        #   aug - S is the clique matrix of G - S and Fulkerson-Gross
+        #   applies. Identity rows hold one 1, so the test leaves them out.
+        rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
+        removed, nodes, fell_back = _interval_deletion(
+            graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows,
+            lambda live: _cop_positions([rows[p] for p in _bits(live)], matrix.n) is not None)
         stats.leaf_nodes += nodes
         stats.leaf_fallbacks += fell_back
         # Step 6: derived-graph vertices carry the row labels, so ``removed``

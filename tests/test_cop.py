@@ -14,6 +14,7 @@ from cosr import (
     set_system,
     verify_cop,
 )
+from cosr.cop import _cop_positions
 from cosr.graphs import find_helly_violation
 from cosr.oracle import brute_cop, random_instance
 
@@ -230,3 +231,42 @@ def test_exhaustive_all_matrices_3x4():
         assert (order is None) == (brute_cop(M) is None)
         if order is not None:
             assert verify_cop(M, order)
+
+
+def test_cop_positions_match_cop_order_and_brute_force():
+    # _cop_positions is cop_order on bare row masks: the same verdict as the
+    # oracle, and the same certificate once positions are mapped to labels.
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 8), rng.randint(0, 7)
+        col_ids = tuple(rng.sample(range(-9, 30), n))
+        rows = tuple(rng.getrandbits(n) & rng.getrandbits(n) | rng.getrandbits(n) for _ in range(m))
+        M = BinaryMatrix(tuple(range(1, m + 1)), col_ids, rows)
+        positions = _cop_positions(M.rows, M.n)
+        order = cop_order(M)
+        assert (positions is None) == (order is None) == (brute_cop(M) is None), M
+        if positions is not None:
+            assert sorted(positions) == list(range(n))
+            assert order == tuple(col_ids[p] for p in positions)
+        verdicts.add(positions is not None)
+    assert verdicts == {True, False}
+
+
+def test_cop_positions_on_a_staircase_deeper_than_the_recursion_limit():
+    import sys
+
+    depth = 1200
+    assert depth > sys.getrecursionlimit()
+    hidden = list(range(depth + 1))
+    random.Random(5).shuffle(hidden)
+    rows = [sum(1 << hidden[p] for p in range(r + 1)) for r in range(1, depth + 1)]
+    random.Random(6).shuffle(rows)
+    M = BinaryMatrix(tuple(range(1, depth + 1)), tuple(range(1, depth + 2)), tuple(rows))
+    positions = _cop_positions(M.rows, M.n)
+    assert positions is not None and sorted(positions) == list(range(depth + 1))
+    assert cop_order(M) == tuple(M.col_ids[p] for p in positions)
+    assert verify_cop(M, cop_order(M))
+    # pairs closing a triangle on the first three hidden columns spoil it
+    triangle = [1 << hidden[0] | 1 << hidden[2], 1 << hidden[1] | 1 << hidden[2]]
+    assert _cop_positions(rows + triangle, M.n) is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from cosr import (
     support,
     verify_cop,
 )
+from cosr.interval import _chordal_interval
 from cosr.solver import SolveStats, _find_rule2_cycle
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
 
@@ -465,3 +467,127 @@ def test_one_derived_graph_per_node(monkeypatch):
                 for key in hits:
                     hits[key] += getattr(stats, key)
     assert min(hits.values()) > 0, hits
+
+
+def _recording_leaf(monkeypatch, check):
+    """Make the solver's leaf hand its graph, budget, forbidden rows and
+    interval test to ``check`` before each search."""
+    import cosr.solver
+
+    inner = cosr.solver._interval_deletion
+
+    def recording(graph, budget, limit, forbidden, interval):
+        check(graph, budget, forbidden, interval)
+        return inner(graph, budget, limit, forbidden, interval)
+
+    monkeypatch.setattr(cosr.solver, "_interval_deletion", recording)
+
+
+def _check_leaf_test(graph, forbidden, interval, most):
+    """The leaf's matrix test against the graph test on every set S of at
+    most ``most`` original rows; returns the verdicts seen."""
+    everything = (1 << graph.n) - 1
+    original = [p for p, v in enumerate(graph.vertices) if v not in forbidden]
+    verdicts = set()
+    for k in range(min(most, len(original)) + 1):
+        for S in combinations(original, k):
+            live = everything & ~sum(1 << p for p in S)
+            want = _chordal_interval(graph._adj, live)[1]
+            assert interval(live) == want, (graph, S)
+            verdicts.add(want)
+    return verdicts
+
+
+def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
+    # Lemma at the solver's step 5: at a leaf M with G the derived graph of
+    # augment(M), G - S is interval iff delete_rows(M, S) has COP, for every
+    # set S of original rows. Checked on each leaf the corpus solves reach,
+    # for every S within the leaf's budget.
+    leaves, checked, verdicts = [], set(), set()
+
+    def check(graph, budget, forbidden, interval):
+        mat, b = leaves[-1]  # on_leaf runs just before the search
+        assert b == budget and forbidden == augment(mat).identity_rows
+        key = (mat.row_ids, mat.rows, mat.n, b)
+        if key not in checked:
+            checked.add(key)
+            verdicts.update(_check_leaf_test(graph, forbidden, interval, b))
+
+    _recording_leaf(monkeypatch, check)
+    for i in range(168):
+        for k, density in enumerate((0.3, 0.5, 0.7)):
+            M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
+            for d in range(4):
+                cos_r(M, d, on_leaf=lambda mat, b: leaves.append((mat, b)))
+    assert len(checked) > 400 and verdicts == {True, False}
+
+
+def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
+    # The same lemma on leaf matrices given an all-zero row, a duplicate row,
+    # shuffled row order and gapped, negative labels (clear of the identity
+    # labels -1..-n), for every S of at most three original rows.
+    rng = random.Random(31)
+    leaves = {}
+    for seed in range(400):
+        M = random_instance(seed + 37000, 4 + seed % 5, 3 + seed % 6, (0.4, 0.5, 0.6)[seed % 3])
+        cos_r(M, 2, on_leaf=lambda mat, b: leaves.setdefault((mat.rows, mat.n), mat))
+    searches, verdicts = [], set()
+
+    def check(graph, budget, forbidden, interval):
+        searches.append(graph)
+        verdicts.update(_check_leaf_test(graph, forbidden, interval, 3))
+
+    _recording_leaf(monkeypatch, check)
+    for L in leaves.values():
+        rows = list(L.rows) + [0, rng.choice(L.rows)]
+        rng.shuffle(rows)
+        labels = rng.sample([v for v in range(-30, 30) if not -L.n <= v < 0], len(rows))
+        searches.clear()
+        cos_r(BinaryMatrix(tuple(labels), L.col_ids, tuple(rows)), 0)
+        assert len(searches) == 1  # a zero row and a twin keep the leaf rule-clean
+    assert len(leaves) > 100 and verdicts == {True, False}
+
+
+def _core_solves():
+    """Complement-of-identity cores k = 5..9, two fixed row shuffles each,
+    at d = k - 3 (NO) and d = k - 2 (YES): rule 3 fires, then the leaves."""
+    rng = random.Random(41)
+    for k in range(5, 10):
+        for _ in range(2):
+            missing = list(range(k))
+            rng.shuffle(missing)
+            rows = tuple(((1 << k) - 1) ^ 1 << j for j in missing)
+            M = BinaryMatrix(tuple(range(1, k + 1)), tuple(range(1, k + 1)), rows)
+            yield M, k - 3
+            yield M, k - 2
+
+
+def test_core_answers_are_byte_identical():
+    # SHA-256 over each solve's to_text() then repr(stats.as_dict()), so the
+    # leaf's branch nodes (leaf_nodes) are pinned with the answers.
+    answers = hashlib.sha256()
+    for M, d in _core_solves():
+        report = cos_r(M, d)
+        answers.update(report.to_text().encode())
+        answers.update(repr(report.stats.as_dict()).encode())
+    assert answers.hexdigest()[:16] == "04c1c2228200d9b3"
+
+
+def test_subset_search_leaves_give_the_same_answers(monkeypatch):
+    # With no branch-node budget every leaf takes the exhaustive subset
+    # search, which asks the same interval test.
+    import cosr.solver
+
+    cases = list(_core_solves())
+    for i in range(0, 168, 6):
+        for k, density in enumerate((0.3, 0.5, 0.7)):
+            M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
+            cases += [(M, d) for d in range(4)]
+    want = [cos_r(M, d).to_text() for M, d in cases]
+    monkeypatch.setattr(cosr.solver, "_LEAF_NODE_LIMIT", 0)
+    fallbacks = 0
+    for (M, d), text in zip(cases, want):
+        report = cos_r(M, d)
+        assert report.to_text() == text, (M, d)
+        fallbacks += report.stats.leaf_fallbacks
+    assert fallbacks > 20
