@@ -117,37 +117,22 @@ def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     return cols, [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
 
 
-def _derived(M: BinaryMatrix) -> tuple[Graph, list[int]]:
-    """The derived graph, and per column the positions in it of the rows
-    holding that column. Graph positions ascend with labels, so the rows
-    go to ``_incidence`` in label order."""
-    pairs = sorted(zip(M.row_ids, M.rows))
-    cols, meets = _incidence([mask for _, mask in pairs], M.n)
-    G = Graph(label for label, _ in pairs)
-    G._adj = [meet & ~(1 << v) for v, meet in enumerate(meets)]
-    return G, cols
-
-
 def derived_graph(M: BinaryMatrix) -> Graph:
     """One vertex per row; an edge where two rows share a 1-column."""
-    return _derived(M)[0]
+    pairs = sorted(zip(M.row_ids, M.rows))  # graph positions ascend with labels
+    _, meets = _incidence([mask for _, mask in pairs], M.n)
+    G = Graph(label for label, _ in pairs)
+    G._adj = [meet & ~(1 << v) for v, meet in enumerate(meets)]
+    return G
 
 
-def find_helly_violation(M: BinaryMatrix, start: int = 0) -> HellyViolation | None:
-    """First row triple (in matrix row order) violating H1 or H2.
-
-    Each row is its column mask. H1 is tested before H2 on each triple;
-    triples are scanned in lexicographic order of row position so the
-    result is deterministic. Only triples whose rows all sit at position
-    ``start`` or later are scanned.
-    """
-    rows = M.rows[start:]
-    if len(rows) < 3:
-        return None
-    # Positions count from ``start``; j and k run over intersecting rows only.
-    _, meets = _incidence(rows, M.n)
-    for i, a in enumerate(rows):
-        later = meets[i] >> (i + 1) << (i + 1)
+def _helly_scan(rows: Sequence[int], meets: list[int], live: int) -> tuple[tuple[int, int, int], str] | None:
+    """Positions and kind of the first triple of ``live`` rows, in order of
+    position, violating H1 or H2 (H1 tested first); ``meets`` comes from
+    ``_incidence(rows, n)``, and only pairwise-meeting triples are visited."""
+    for i in _bits(live):
+        a = rows[i]
+        later = meets[i] & live & ~((2 << i) - 1)
         while later:
             low = later & -later
             later ^= low
@@ -160,9 +145,16 @@ def find_helly_violation(M: BinaryMatrix, start: int = 0) -> HellyViolation | No
                 k = low.bit_length() - 1
                 c = rows[k]
                 if not a & b & c or a & ~(b | c) and b & ~(a | c) and c & ~(a | b):
-                    ids = M.row_ids[start:]
-                    return HellyViolation((ids[i], ids[j], ids[k]), "H2" if a & b & c else "H1")
+                    return (i, j, k), "H2" if a & b & c else "H1"
     return None
+
+
+def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
+    """First row triple (in matrix row order) violating H1 or H2, by ``_helly_scan``."""
+    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[1], (1 << M.m) - 1)
+    if hit is None:
+        return None
+    return HellyViolation(tuple(M.row_ids[p] for p in hit[0]), hit[1])
 
 
 def pair_subgraph(M: BinaryMatrix, col_a: int, col_b: int) -> Graph:
@@ -261,42 +253,43 @@ def is_simplicial(G: Graph, v: int) -> bool:
 
 
 def _scan_column_pairs(
-    M: BinaryMatrix,
-) -> tuple[tuple[int, int] | None, tuple[frozenset[int], frozenset[int]] | None]:
-    """Rules 2 and 3 in one pass: the labels of the first column pair whose
+    M: BinaryMatrix, cols: list[int], meets: list[int], live: int
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """Rules 2 and 3 in one pass over the ``live`` rows of M, given
+    ``_incidence(M.rows, M.n)``: the labels of the first column pair whose
     subgraph is not chordal, else None and ``find_uncovered_clique``'s answer."""
-    G, verts = _derived(M)
-    adj = G._adj
-    # The search, the PEO check and the clique listing read only
-    # ``adj[v] & live`` or ``adj[v] & later`` with ``later`` inside
-    # ``live``, so each pass sees exactly the pair subgraph induced on
-    # ``live``; G's positions ascend with labels, so ties, elimination
-    # order and cliques are those of that subgraph built on its own.
+    # ``meets`` serves as the adjacency: the search, the PEO check and the
+    # clique listing read only ``meets[v] & live`` or ``meets[v] & later``
+    # with ``later`` inside ``live`` and never holding v, so each pass sees
+    # exactly the pair subgraph induced on its live rows; chordality and
+    # the set of maximal cliques do not depend on the order of positions.
     candidates: set[int] = set()
     for i in range(M.n):
         for j in range(i + 1, M.n):
-            order = _mcs_order(adj, verts[i] | verts[j])
-            if not _is_peo(adj, order):
+            order = _mcs_order(meets, (cols[i] | cols[j]) & live)
+            if not _is_peo(meets, order):
                 return (M.col_ids[i], M.col_ids[j]), None
-            for clique in _clique_masks(adj, order):
-                common = -1
+            for clique in _clique_masks(meets, order):
+                common = live & ~clique
                 for v in _bits(clique):
-                    common &= adj[v]
-                if not common:  # no vertex of G extends the clique
+                    common &= meets[v]
+                if not common:  # no live row extends the clique
                     candidates.add(clique)
 
     def covered(group: int) -> bool:
-        return any(not group & ~vs for vs in verts)
+        return any(not group & ~vs for vs in cols)
 
-    for clique in sorted(candidates, key=lambda c: list(_bits(c))):
+    # Candidates, and members in the greedy shrink, go in label order.
+    ids = M.row_ids
+    for clique in sorted(candidates, key=lambda c: sorted(ids[v] for v in _bits(c))):
         if covered(clique):
             continue
         minimal = clique
-        for v in _bits(clique):
+        for v in sorted(_bits(clique), key=ids.__getitem__):
             if not covered(minimal & ~(1 << v)):
                 minimal &= ~(1 << v)
         assert minimal.bit_count() >= 3, "two clique members always share a column"
-        return None, (G.labels(clique), G.labels(minimal))
+        return None, (frozenset(ids[v] for v in _bits(clique)), frozenset(ids[v] for v in _bits(minimal)))
     return None, None
 
 
@@ -317,7 +310,7 @@ def find_uncovered_clique(
     are deliberately not treated as uncovered cliques; they cannot affect
     whether the matrix can reach the consecutive ones property.
     """
-    pair, uncovered = _scan_column_pairs(M)
+    pair, uncovered = _scan_column_pairs(M, *_incidence(M.rows, M.n), (1 << M.m) - 1)
     if pair is not None:
         raise ContractError(f"pair subgraph of columns {pair[0]}, {pair[1]} is not chordal")
     return uncovered

@@ -49,18 +49,18 @@ def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
     )
 
 
-def _chordal_interval(adj: list[int], live: int) -> tuple[bool, bool]:
-    """Whether the subgraph induced on ``live`` is chordal, and whether it
-    is interval, from one maximum-cardinality search."""
+def _chordal_interval(adj: list[int], live: int) -> bool:
+    """Whether the subgraph induced on ``live`` is interval: chordal, and
+    its clique matrix has consecutive ones."""
     order = _mcs_order(adj, live)
     if not _is_peo(adj, order):
-        return False, False
+        return False
     rows = [0] * len(adj)
     cliques = _clique_masks(adj, order)
     for j, clique in enumerate(cliques):
         for v in _bits(clique):
             rows[v] |= 1 << j
-    return True, _cop_positions(rows, len(cliques)) is not None
+    return _cop_positions(rows, len(cliques)) is not None
 
 
 def _mask(G: Graph, labels) -> int:
@@ -70,7 +70,7 @@ def _mask(G: Graph, labels) -> int:
 
 def is_interval(G: Graph) -> bool:
     """True iff ``G`` is an interval graph."""
-    return _chordal_interval(G._adj, (1 << G.n) - 1)[1]
+    return _chordal_interval(G._adj, (1 << G.n) - 1)
 
 
 def _bfs_path(adj: list[int], allowed: int, start: int, goal: int) -> list[int] | None:
@@ -215,19 +215,18 @@ def interval_deletion(
     restricts the search to solutions avoiding them (None then means no
     such restricted solution exists).
     """
-    return _interval_deletion(G, d, node_limit, forbidden)[0]
+    return _interval_deletion(G, d, node_limit, forbidden, _graph_test(G))[0]
 
 
 def _interval_deletion(
-    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest | None = None
+    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest
 ) -> tuple[frozenset[int] | None, int, bool]:
     """``interval_deletion`` plus the number of branch nodes it ran and
-    whether it fell back to the exhaustive subset search. ``interval`` stands
-    in for the graph test and must agree with it on every deletion set
+    whether it fell back to the exhaustive subset search. ``interval`` is
+    the graph test, or a stand-in that agrees with it on every deletion set
     outside ``forbidden``."""
     if d < 0:
         return None, 0, False
-    interval = interval or _graph_test(G)
     everything, banned = (1 << G.n) - 1, _mask(G, forbidden)
     counter = [0]
     try:
@@ -242,7 +241,7 @@ def _interval_deletion(
 
 
 def _graph_test(G: Graph) -> _IntervalTest:
-    return lambda live: _chordal_interval(G._adj, live)[1]
+    return lambda live: _chordal_interval(G._adj, live)
 
 
 def _minimalize(everything: int, drop: int, interval: _IntervalTest) -> int:

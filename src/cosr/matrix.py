@@ -175,11 +175,13 @@ def delete_rows(M: BinaryMatrix, deleted: Iterable[int]) -> BinaryMatrix:
 def augment(M: BinaryMatrix) -> BinaryMatrix:
     """Stack an n x n identity block above M.
 
-    The identity row for column k gets label -k, so original labels are
-    preserved and the new rows are recognizable downstream (they sort
-    before all original rows and never appear in solver output).
+    The identity row for column k gets label -k. When an original label
+    lies in -n..-1, the identity labels shift below the smallest original
+    label instead. Original labels are preserved either way, and
+    ``identity_rows`` tells the new rows apart.
     """
-    ident_ids = tuple(-(k + 1) for k in range(M.n))
+    below = min(M.row_ids) if any(-M.n <= r < 0 for r in M.row_ids) else 0
+    ident_ids = tuple(below - (k + 1) for k in range(M.n))
     ident_rows = tuple(1 << k for k in range(M.n))
     return BinaryMatrix(
         row_ids=ident_ids + M.row_ids,

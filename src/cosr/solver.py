@@ -15,9 +15,12 @@ fires the first applicable of three branching rules. Below the root rule
 3. a maximal clique of the derived graph realized by no column,
    shrunk to an inclusion-minimal uncovered core.
 
-One pass over the column pairs of one derived graph decides rules 2
-and 3. Each rule deletes one row per child and lowers the budget, so the
-branch tree has at most 4^d internal splits. When no rule applies, the
+A search node is the input minus the rows deleted on its path, held as a
+mask of live row positions over one row incidence built per solve: rules
+1-3 scan that incidence through the mask, one pass over the column pairs
+deciding rules 2 and 3, and a node's matrix is built only after a clean
+rule-1 scan. Each rule deletes one row per child and lowers the budget, so
+the branch tree has at most 4^d internal splits. When no rule applies, the
 identity augmentation turns the matrix into the clique matrix of its
 derived graph and the residue is solved exactly as interval vertex deletion.
 Row deletion keeps that correspondence, so the leaf search tests its live
@@ -29,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-# ``find_uncovered_clique``, ``interval_deletion`` and ``set_system`` stay
-# here for the benchmark's tracer, which wraps them in ``cosr.solver`` by name.
-# The leaf reads ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it.
-from .graphs import Graph, _scan_column_pairs, derived_graph, find_c4, find_helly_violation, pair_subgraph
-from .graphs import find_uncovered_clique  # noqa: F401
+# ``find_helly_violation``, ``find_uncovered_clique``, ``interval_deletion``
+# and ``set_system`` stay here for the benchmark's tracer, which wraps them in
+# ``cosr.solver`` by name. The leaf reads ``_LEAF_NODE_LIMIT`` from this
+# module, so a test can patch it.
+from .graphs import Graph, _helly_scan, _incidence, _scan_column_pairs, derived_graph, find_c4, pair_subgraph
+from .graphs import find_helly_violation, find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
 from .cop import _cop_positions, cop_order, verify_cop
 from .matrix import BinaryMatrix, _bits, augment, delete_rows, set_system  # noqa: F401
@@ -90,7 +94,7 @@ class SolveReport:
 
 def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     """Rows of the first induced 4-cycle over all column-pair subgraphs."""
-    pair, _ = _scan_column_pairs(M)
+    pair, _ = _scan_column_pairs(M, *_incidence(M.rows, M.n), (1 << M.m) - 1)
     return None if pair is None else find_c4(pair_subgraph(M, *pair))
 
 
@@ -102,47 +106,49 @@ def _solve(
 ) -> tuple[frozenset[int], BinaryMatrix, tuple[int, ...]] | None:
     """The deleted rows, the survivor and its column order, or None, from a
     depth-first search on an explicit stack: no recursion limit applies."""
-    stack: list[tuple[BinaryMatrix, int | None, frozenset[int], int, int]] = [(M, None, frozenset(), d, 0)]
+    # A node is M minus the rows in ``accumulated``, and ``live`` marks the
+    # positions in M of the rows it keeps. Lemma: every scan reads rows only
+    # through ``live`` and visits them in ascending position, and it breaks
+    # ties by label, so it sees and answers exactly what it would on
+    # ``delete_rows(M, accumulated)``, in the same order.
+    stack: list[tuple[int, frozenset[int], int, int]] = [((1 << M.m) - 1, frozenset(), d, 0)]
     while stack:
-        parent, deleted, accumulated, budget, helly_start = stack.pop()
-        matrix = parent if deleted is None else delete_rows(parent, {deleted})
+        live, accumulated, budget, helly_start = stack.pop()
         # Step 1: budget exhausted.
         if budget < 0:
             continue
         # Step 0: done if the matrix already has the property. The root tries
-        # it first, so an input with the property costs one call. Below the
-        # root rule 1's resumed scan goes first: rows with the property are
-        # intervals of one column order, and pairwise-meeting intervals form
-        # no H1 or H2 triple, so after a hit ``cop_order`` could only say None.
-        below_root = bool(accumulated)
-        violation = find_helly_violation(matrix, helly_start) if below_root else None
-        if violation is None:
+        # it first, so an input with the property costs one call and builds
+        # no incidence. Below the root rule 1's resumed scan goes first: rows
+        # with the property are intervals of one column order, and
+        # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
+        # ``cop_order`` could only say None, and no matrix is built.
+        hit = _helly_scan(M.rows, meets, live & -(1 << helly_start)) if accumulated else None
+        if hit is None:
+            matrix = delete_rows(M, accumulated) if accumulated else M
             order = cop_order(matrix)
             if order is not None:
                 return accumulated, matrix, order
-            if not below_root:
-                violation = find_helly_violation(matrix, helly_start)
+            if not accumulated:
+                cols, meets = _incidence(M.rows, M.n)
+                hit = _helly_scan(M.rows, meets, live)
 
         branch_rows: Iterable[int] | None = None
-        # Whether a triple violates H1 or H2 depends on its three rows alone,
-        # and ``delete_rows`` keeps row order, so a child's triples are its
-        # parent's triples that avoid the deleted row, in the same order.
-        # Below a rule-1 node, every parent triple before the first hit
-        # (i, j, k) is clean and the rows before position i are unchanged,
-        # so the child's scan may start at position i. Below a rule-2 or
-        # rule-3 node the parent was Helly-clean, so every child is too and
-        # its scan starts past the last row.
-        child_start = matrix.m
-        if violation is not None:
+        # A child's triples are its parent's that avoid the deleted row, and
+        # a triple's verdict depends on its three rows alone. So below a
+        # rule-1 node whose first hit is (i, j, k), the child's scan may
+        # start at position i; below a Helly-clean node, past the last row.
+        child_start = M.m
+        if hit is not None:
             stats.rule1 += 1
-            branch_rows = violation.rows
-            child_start = matrix.row_ids.index(violation.rows[0])
+            branch_rows = [M.row_ids[p] for p in hit[0]]
+            child_start = hit[0][0]
         else:
             # A pair subgraph is chordal iff it has no induced C4: its two
             # columns' rows are cliques covering it, and a hole meets a
             # clique in at most two vertices. So one pass decides rules 2 and
             # 3, and it stops at the first pair on which ``find_c4`` hits.
-            pair, uncovered = _scan_column_pairs(matrix)
+            pair, uncovered = _scan_column_pairs(M, cols, meets, live)
             if pair is not None:
                 stats.rule2 += 1
                 branch_rows = find_c4(pair_subgraph(matrix, *pair))
@@ -163,7 +169,7 @@ def _solve(
         if branch_rows is not None:
             # Popped in ascending row order, each subtree before the next.
             for row in sorted(branch_rows, reverse=True):
-                stack.append((matrix, row, accumulated | {row}, budget - 1, child_start))
+                stack.append((live & ~(1 << M.row_index[row]), accumulated | {row}, budget - 1, child_start))
             continue
 
         # Step 5: no rule applies; the augmented matrix is the clique matrix
@@ -220,10 +226,8 @@ def cos_r(
         return SolveReport(False, None, None, stats)
     solution, survivor, certificate = found
     assert len(solution) <= d
-    # The certificate is the one ``cop_order(delete_rows(M, solution))``
-    # would give: every node's matrix equals ``delete_rows(M, accumulated)``
-    # (same labels, same order, same masks), and ``cop_order`` is a
-    # function of that value.
+    # Every node's matrix is ``delete_rows(M, accumulated)``, so the
+    # certificate is the one ``cop_order(delete_rows(M, solution))`` gives.
     assert survivor.row_ids == tuple(r for r in M.row_ids if r not in solution)
     assert certificate is not None and verify_cop(survivor, certificate)
     return SolveReport(True, solution, certificate, stats)

@@ -15,7 +15,7 @@ from cosr import (
     verify_cop,
 )
 from cosr.cop import _cop_positions
-from cosr.graphs import find_helly_violation
+from cosr.graphs import _helly_scan, _incidence
 from cosr.oracle import brute_cop, random_instance
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
@@ -201,8 +201,10 @@ def test_cop_implies_no_helly_violation():
     cases += [_gapped_runs(seed, 4 + seed % 6) for seed in range(60)]
     kinds = set()
     for M in cases:
-        hits = [v for v in (find_helly_violation(M, s) for s in range(M.m)) if v is not None]
-        kinds.update(v.kind for v in hits)
+        meets = _incidence(M.rows, M.n)[1]
+        scans = (_helly_scan(M.rows, meets, ((1 << M.m) - 1) >> s << s) for s in range(M.m))
+        hits = [hit for hit in scans if hit is not None]
+        kinds.update(kind for _, kind in hits)
         if hits:
             assert cop_order(M) is None and brute_cop(M) is None
     assert kinds == {"H1", "H2"}

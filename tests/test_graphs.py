@@ -23,7 +23,7 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _scan_column_pairs
+from cosr.graphs import _helly_scan, _incidence, _scan_column_pairs
 from cosr.oracle import brute_maximal_cliques, random_instance
 from cosr.solver import _find_rule2_cycle
 
@@ -103,6 +103,9 @@ def test_helly_violation_kinds():
     v2 = find_helly_violation(M2)
     assert v2 is not None and v2.rows == (1, 2, 3) and v2.kind == "H2"
     assert find_helly_violation(IDENT3) is None
+    # no start position: a negative one once scanned a suffix of the rows
+    with pytest.raises(TypeError):
+        find_helly_violation(M1, -2)
 
 
 def _helly_by_sets(M, start=0):
@@ -123,6 +126,17 @@ def _helly_by_sets(M, start=0):
 
 def _as_pair(violation):
     return None if violation is None else (violation.rows, violation.kind)
+
+
+def _live(M, drop=()):
+    """The positions of M's rows outside ``drop``."""
+    return sum(1 << p for p, label in enumerate(M.row_ids) if label not in drop)
+
+
+def _helly_at(M, live):
+    """``_helly_scan`` on the ``live`` rows of M, as labels and kind."""
+    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[1], live)
+    return None if hit is None else (tuple(M.row_ids[p] for p in hit[0]), hit[1])
 
 
 def _gapped_random_matrices(rng, count):
@@ -148,7 +162,7 @@ def test_helly_mask_scan_matches_set_scan():
     kinds = set()
     for M in matrices:
         for start in range(M.m + 2):
-            got = _as_pair(find_helly_violation(M, start))
+            got = _helly_at(M, _live(M) >> start << start)
             assert got == _helly_by_sets(M, start), (M, start)
             kinds.add(None if got is None else got[1])
         assert _as_pair(find_helly_violation(M)) == _helly_by_sets(M)
@@ -157,23 +171,25 @@ def test_helly_mask_scan_matches_set_scan():
 
 def test_helly_resume_at_parent_triple_matches_full_scan():
     # a child of a rule-1 node may start its scan at the position of the
-    # parent's first triple row; follow the branch tree two levels down
+    # parent's first triple row; follow the branch tree two levels down,
+    # on live masks as the solver does
     rng = random.Random(61)
     children = 0
     for M in _gapped_random_matrices(rng, 300):
-        frontier = [(M, 0)]
+        frontier = [(frozenset(), 0)]
         for _ in range(2):
             deeper = []
-            for parent, start in frontier:
-                violation = find_helly_violation(parent, start)
-                assert _as_pair(violation) == _helly_by_sets(parent)
+            for drop, start in frontier:
+                live = _live(M, drop)
+                violation = _helly_at(M, live >> start << start)
+                assert violation == _helly_by_sets(delete_rows(M, drop))
                 if violation is None:
                     continue
-                resume = parent.row_ids.index(violation.rows[0])
-                for row in violation.rows:
-                    child = delete_rows(parent, {row})
-                    got = _as_pair(find_helly_violation(child, resume))
-                    assert got == _helly_by_sets(child), (parent, row)
+                resume = M.row_index[violation[0][0]]
+                for row in violation[0]:
+                    child = drop | {row}
+                    got = _helly_at(M, _live(M, child) >> resume << resume)
+                    assert got == _helly_by_sets(delete_rows(M, child)), (M, child)
                     deeper.append((child, resume))
                     children += 1
             frontier = deeper
@@ -190,9 +206,8 @@ def test_helly_clean_matrices_have_clean_children():
         clean += 1
         assert find_helly_violation(M) is None
         for row in M.row_ids:
-            child = delete_rows(M, {row})
-            assert _helly_by_sets(child) is None
-            assert find_helly_violation(child, M.m) is None
+            assert _helly_by_sets(delete_rows(M, {row})) is None
+            assert _helly_at(M, _live(M, {row}) >> M.m << M.m) is None
     assert clean > 50
 
 
@@ -398,24 +413,52 @@ def test_uncovered_clique_mask_scan_matches_label_scan():
     assert checked > 400 and found > 50
 
 
+def _pass_against_the_two_scans(M, drop):
+    """Rules 2 and 3's pass on the rows of M outside ``drop`` against the two
+    scans it replaced, on ``delete_rows(M, drop)``: every pair's find_c4 for
+    rule 2, then the label-set clique scan for rule 3."""
+    sub = delete_rows(M, drop)
+    cycle = next(
+        filter(None, (find_c4(pair_subgraph(sub, a, b)) for a, b in combinations(sub.col_ids, 2))), None
+    )
+    assert _find_rule2_cycle(sub) == cycle, (M, drop)
+    pair, uncovered = _scan_column_pairs(M, *_incidence(M.rows, M.n), _live(M, drop))
+    if cycle is None:
+        assert pair is None and uncovered == _uncovered_clique_by_labels(sub), (M, drop)
+    else:
+        assert find_c4(pair_subgraph(sub, *pair)) == cycle and uncovered is None, (M, drop)
+    return "rule2" if cycle else "rule3" if uncovered else "neither"
+
+
 def test_one_pair_pass_matches_the_two_scans():
-    # Against the two scans the pass replaced: every pair's find_c4 for
-    # rule 2, then the label-set clique scan for rule 3. The sparse family
-    # adds pair subgraphs with holes.
+    # The sparse family adds pair subgraphs with holes.
     sparse = [random_instance(seed, 6 + seed % 4, 4 + seed % 5, 0.3) for seed in range(150)]
     outcomes = {"rule2": 0, "rule3": 0, "neither": 0, "helly": 0}
     for M in _scan_matrices() + sparse:
-        cycle = next(
-            filter(None, (find_c4(pair_subgraph(M, a, b)) for a, b in combinations(M.col_ids, 2))), None
-        )
-        pair, uncovered = _scan_column_pairs(M)
-        assert _find_rule2_cycle(M) == cycle, M
-        if cycle is None:
-            assert pair is None and uncovered == _uncovered_clique_by_labels(M), M
-        else:
-            assert find_c4(pair_subgraph(M, *pair)) == cycle and uncovered is None, M
-        outcomes["rule2" if cycle else "rule3" if uncovered else "neither"] += 1
+        outcomes[_pass_against_the_two_scans(M, ())] += 1
         outcomes["helly"] += find_helly_violation(M) is not None
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def test_live_mask_scans_match_the_scans_of_delete_rows():
+    # The solver's node is M minus a row set S, scanned through a live mask
+    # over M's positions; on relabelled matrices the scans must give what
+    # they give on delete_rows(M, S), labels and tie-breaks included.
+    rng = random.Random(63)
+    holes = []  # a 4-cycle of rows over two column pairs, sparse noise rows
+    for seed in range(150):
+        n = 4 + seed % 4
+        a, b, c, d = (1 << j for j in rng.sample(range(n), 4))
+        rows = [a | b, b | c, c | d, d | a, *random_instance(seed + 300, 3 + seed % 3, n, 0.3).rows]
+        rng.shuffle(rows)
+        holes.append(BinaryMatrix(tuple(rng.sample(range(-20, 40), len(rows))), tuple(range(1, n + 1)), tuple(rows)))
+    outcomes = {"rule2": 0, "rule3": 0, "neither": 0, "helly": 0}
+    for M in _scan_matrices()[::2] + holes:
+        drop = frozenset(rng.sample(M.row_ids, rng.randint(1, min(3, M.m - 1))))
+        want = _helly_by_sets(delete_rows(M, drop))
+        assert _helly_at(M, _live(M, drop)) == want, (M, drop)
+        outcomes["helly"] += want is not None
+        outcomes[_pass_against_the_two_scans(M, drop)] += 1
     assert min(outcomes.values()) > 20, outcomes
 
 

@@ -171,9 +171,12 @@ def test_minimalize_solution_examples():
 
 
 def test_node_budget_fallback_is_reported():
-    from cosr.interval import _interval_deletion
+    from cosr.interval import _graph_test, _interval_deletion
 
-    assert _interval_deletion(cycle(4), 1, 200_000, frozenset()) == ({1}, 2, False)
-    assert _interval_deletion(cycle(4), 1, 0, frozenset()) == ({1}, 1, True)
-    assert _interval_deletion(two_disjoint_c4(), 1, 0, frozenset()) == (None, 1, True)
-    assert _interval_deletion(cycle(4), -1, 0, frozenset()) == (None, 0, False)
+    def run(G, d, limit):
+        return _interval_deletion(G, d, limit, frozenset(), _graph_test(G))
+
+    assert run(cycle(4), 1, 200_000) == ({1}, 2, False)
+    assert run(cycle(4), 1, 0) == ({1}, 1, True)
+    assert run(two_disjoint_c4(), 1, 0) == (None, 1, True)
+    assert run(cycle(4), -1, 0) == (None, 0, False)

@@ -132,6 +132,14 @@ def test_augment_definition():
     assert aug1.rows[:8] == tuple(1 << k for k in range(8))
     assert aug1.row_ids[8:] == (1, 2, 3)
 
+    # identity labels move below the smallest original only on a collision
+    M = BinaryMatrix((3, -50, 7), (1, 2), (1, 2, 3))
+    assert augment(M).row_ids == (-1, -2, 3, -50, 7)
+    M = BinaryMatrix((3, -2, 7), (1, 2), (1, 2, 3))
+    aug = augment(M)
+    assert aug.row_ids == (-3, -4, 3, -2, 7) and aug.identity_rows == {-3, -4}
+    assert delete_rows(aug, aug.identity_rows) == M
+
 
 def test_augment_degenerate_empty():
     M = BinaryMatrix((), (1, 2), ())

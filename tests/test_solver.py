@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from cosr import (
     verify_cop,
 )
 from cosr.interval import _chordal_interval
+from cosr.matrix import _bits
 from cosr.solver import SolveStats, _find_rule2_cycle
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
 
@@ -178,6 +180,24 @@ def test_solution_never_contains_identity_labels():
         if rep.feasible:
             assert all(r > 0 for r in rep.solution)
             assert rep.solution <= set(M.row_ids)
+
+
+def test_row_labels_in_the_identity_range():
+    # augment labels its identity rows -1..-n unless an original label lies
+    # there; a first row labelled -1 once collided with them at the leaves
+    leaves = 0
+    for seed in range(300):
+        R = random_instance(5000 + seed, 6, 5, 0.5)
+        M = BinaryMatrix((-1,) + R.row_ids[1:], R.col_ids, R.rows)
+        best = brute_cosr(M, 3)
+        for d in range(4):
+            rep = cos_r(M, d)
+            leaves += rep.stats.leaves
+            assert rep.feasible == (best is not None and len(best) <= d), (seed, d)
+            if rep.feasible:
+                assert rep.solution <= set(M.row_ids)
+                assert verify_cop(delete_rows(M, rep.solution), rep.certificate)
+    assert leaves > 100
 
 
 def test_augmentation_preserves_cop_under_deletion():
@@ -382,23 +402,23 @@ def test_pinned_answers_and_counters():
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats))), args
 
 
+def _recording(events, name, inner):
+    def wrapper(*args):
+        result = inner(*args)
+        events.append((name, args, result))
+        return result
+
+    return wrapper
+
+
 def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
     # Below the root, rule 1's scan runs first and cop_order only when the
     # scan is clean: an H1 or H2 triple already proves there is no COP order.
     import cosr.solver
 
     events = []
-
-    def recording(name, inner):
-        def wrapper(matrix, *args):
-            result = inner(matrix, *args)
-            events.append((name, matrix, result))
-            return result
-
-        return wrapper
-
-    monkeypatch.setattr(cosr.solver, "cop_order", recording("cop", cosr.solver.cop_order))
-    monkeypatch.setattr(cosr.solver, "find_helly_violation", recording("helly", cosr.solver.find_helly_violation))
+    monkeypatch.setattr(cosr.solver, "cop_order", _recording(events, "c", cosr.solver.cop_order))
+    monkeypatch.setattr(cosr.solver, "_helly_scan", _recording(events, "h", cosr.solver._helly_scan))
     keys = tuple(SolveStats().as_dict())
     cases = [(_planted(*args), d, text, stats) for args, d, text, stats in PINNED_PLANTED]
     cases += [(random_instance(*args), 2, text, stats) for args, text, stats in PINNED_MIXED]
@@ -407,16 +427,16 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
         events.clear()
         report = cos_r(M, d)
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats)))
-        assert [name for name, mat, _ in events if mat is M] == ["cop", "helly"]
-        for pos, (name, mat, result) in enumerate(events):
-            if name != "helly" or mat is M:
-                continue
-            cops = [i for i, (n, other, _) in enumerate(events) if n == "cop" and other is mat]
-            if result is not None:
-                hits += 1
-                assert cops == []  # no step 0 where rule 1 fires
-            else:
-                assert len(cops) == 1 and cops[0] > pos  # step 0 once, after the clean scan
+        # H a scan that hits, h a clean one, c a cop_order call. The root
+        # runs step 0 first; below it, one step 0 follows each clean scan,
+        # and a leaf that answers YES adds its survivor's.
+        steps = "".join(name.upper() if name == "h" and hit else name for name, _, hit in events)
+        assert re.fullmatch(r"c[hH](H|hcc?)*", steps), steps
+        assert events[0][1][0] is M
+        for (name, args, hit), (_, then, _) in zip(events[2:], events[3:]):
+            if name == "h" and not hit:  # step 0 on this node's rows
+                assert {M.row_ids[p] for p in _bits(args[2])} <= set(then[0].row_ids)
+        hits += steps.count("H")
     assert hits > 100
 
 
@@ -443,27 +463,34 @@ def test_search_deeper_than_the_recursion_limit():
 
 
 def test_one_derived_graph_per_node(monkeypatch):
-    # Rules 2 and 3 share one derived graph per node; a rule-2 hit builds
-    # one more for its pair subgraph, and a leaf one for its augmentation.
+    # A solve builds one incidence, once the root's step 0 fails. Rules 1-3
+    # read it through the node's live mask, so derived graphs are built only
+    # for a rule-2 hit's pair subgraph and a leaf's augmentation, and a
+    # node's matrix only after a clean Helly scan: never at a rule-1 node.
     import cosr.graphs
+    import cosr.solver
 
-    calls = []
-    inner = cosr.graphs._derived
-
-    def counting(M):
-        calls.append(None)
-        return inner(M)
-
-    monkeypatch.setattr(cosr.graphs, "_derived", counting)
-    hits = {"rule2": 0, "rule3": 0, "leaves": 0}
+    events = []
+    for module, name in [(cosr.solver, "_incidence"), (cosr.solver, "_helly_scan"), (cosr.solver, "cop_order"),
+                         (cosr.solver, "delete_rows"), (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph")]:
+        monkeypatch.setattr(module, name, _recording(events, name, getattr(module, name)))
+    hits = {"rule1": 0, "rule2": 0, "rule3": 0, "leaves": 0}
     for i in range(168):
         for k, density in enumerate((0.3, 0.5, 0.7)):
             M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
             for d in range(4):
-                calls.clear()
+                events.clear()
                 stats = cos_r(M, d).stats
-                scanned = stats.rule2 + stats.rule3 + stats.leaves  # nodes that reach rules 2 and 3
-                assert len(calls) <= scanned + stats.rule2 + stats.leaves, (i, k, d)
+                names = [name for name, _, _ in events]
+                root_fails = names[0] == "cop_order" and events[0][2] is None
+                assert names.count("_incidence") == root_fails, (i, k, d)
+                assert names.count("derived_graph") == stats.rule2 + stats.leaves, (i, k, d)
+                scan = None
+                for name, _, result in events:
+                    if name == "_helly_scan":
+                        scan = result
+                    elif name == "delete_rows":
+                        assert scan is None, (i, k, d)
                 for key in hits:
                     hits[key] += getattr(stats, key)
     assert min(hits.values()) > 0, hits
@@ -492,7 +519,7 @@ def _check_leaf_test(graph, forbidden, interval, most):
     for k in range(min(most, len(original)) + 1):
         for S in combinations(original, k):
             live = everything & ~sum(1 << p for p in S)
-            want = _chordal_interval(graph._adj, live)[1]
+            want = _chordal_interval(graph._adj, live)
             assert interval(live) == want, (graph, S)
             verdicts.add(want)
     return verdicts
@@ -524,8 +551,8 @@ def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
 
 def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
     # The same lemma on leaf matrices given an all-zero row, a duplicate row,
-    # shuffled row order and gapped, negative labels (clear of the identity
-    # labels -1..-n), for every S of at most three original rows.
+    # shuffled row order and gapped, negative labels (some in the identity
+    # range -1..-n), for every S of at most three original rows.
     rng = random.Random(31)
     leaves = {}
     for seed in range(400):
@@ -541,7 +568,7 @@ def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
     for L in leaves.values():
         rows = list(L.rows) + [0, rng.choice(L.rows)]
         rng.shuffle(rows)
-        labels = rng.sample([v for v in range(-30, 30) if not -L.n <= v < 0], len(rows))
+        labels = rng.sample(range(-30, 30), len(rows))
         searches.clear()
         cos_r(BinaryMatrix(tuple(labels), L.col_ids, tuple(rows)), 0)
         assert len(searches) == 1  # a zero row and a twin keep the leaf rule-clean
@@ -605,9 +632,11 @@ def _relabelled_solves():
         elif seed % 3 == 1:  # a 4-cycle of rows over two column pairs, and sparse noise
             rows = [1 << i | 1 << (i + 1) % 4 for i in range(4)]
             rows += random_instance(seed + 52000, seed % 4, n, 0.3).rows
-        else:
-            k = min(n, 4 + seed % 2)
+        else:  # complement-of-identity cores, a second on other columns for even seeds
+            k = 4 + seed % 2
             rows = [((1 << k) - 1) & ~(1 << i) for i in range(k)]
+            rows += [r << k for r in rows] if seed % 2 == 0 else []
+            n = max(n, k * (2 - seed % 2))
             rows += [rng.getrandbits(n) for _ in range(seed % 4)]
         perm = rng.sample(range(n), n)
         rows = [sum(1 << perm[j] for j in range(n) if r >> j & 1) for r in rows]
@@ -630,4 +659,4 @@ def test_relabelled_answers_are_byte_identical():
         answers.update(repr(report.stats.as_dict()).encode())
         rules = [a + b for a, b in zip(rules, (report.stats.rule1, report.stats.rule2, report.stats.rule3))]
     assert min(rules) > 200, rules
-    assert answers.hexdigest()[:16] == "462928021011ddfb"
+    assert answers.hexdigest()[:16] == "8479b5bc1dd1feda"
