@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -272,3 +273,62 @@ def test_cop_positions_on_a_staircase_deeper_than_the_recursion_limit():
     # pairs closing a triangle on the first three hidden columns spoil it
     triangle = [1 << hidden[0] | 1 << hidden[2], 1 << hidden[1] | 1 << hidden[2]]
     assert _cop_positions(rows + triangle, M.n) is None
+
+
+def _matrix(rows, n, col_ids=None):
+    return BinaryMatrix(
+        tuple(range(1, len(rows) + 1)), col_ids or tuple(range(1, n + 1)), tuple(rows)
+    )
+
+
+def _planted_runs(rng, n, extra):
+    """Links (p, p+1) and ``extra`` random runs of a hidden column order,
+    rows shuffled, and the same with one gapped row added."""
+    order = list(range(n))
+    rng.shuffle(order)
+    runs = [(p, p + 1) for p in range(n - 1)]
+    for _ in range(extra):
+        first = rng.randrange(n - 1)
+        runs.append((first, min(n - 1, first + rng.randrange(1, max(2, n // 4)))))
+    rows = [sum(1 << order[p] for p in range(a, b + 1)) for a, b in runs]
+    rng.shuffle(rows)
+    first = rng.randrange(n - 2)
+    last = min(n - 1, first + rng.randrange(2, max(3, n // 3)))
+    gap = rng.randrange(first + 1, last)
+    spoiled = rows + [sum(1 << order[p] for p in range(first, last + 1) if p != gap)]
+    rng.shuffle(spoiled)
+    return _matrix(rows, n), _matrix(spoiled, n)
+
+
+def _staircase(rng, depth):
+    """Nested prefixes of a hidden order over depth + 1 columns, rows shuffled."""
+    order = list(range(depth + 1))
+    rng.shuffle(order)
+    rows = [sum(1 << order[p] for p in range(r + 1)) for r in range(1, depth + 1)]
+    rng.shuffle(rows)
+    return _matrix(rows, depth + 1)
+
+
+def test_cop_order_certificates_are_byte_identical():
+    # Certificates (column orders, or None) pinned by hash on families on
+    # both sides of 64 distinct rows, so a change to how overlaps are found
+    # or sets are inserted cannot silently change a tie-break.
+    rng = random.Random(41)
+    cases = []
+    for n, extra in [(40, 30), (60, 10), (65, 0), (80, 80), (120, 40), (200, 200), (300, 150)]:
+        cases += _planted_runs(rng, n, extra)
+    cases += [_staircase(rng, depth) for depth in (2, 63, 64, 65, 200, 1200)]
+    for _ in range(500):
+        m, n = rng.randint(0, 9), rng.randint(1, 8)
+        density = rng.choice((0.3, 0.5, 0.7))
+        col_ids = tuple(rng.sample(range(-9, 30), n))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(m)]
+        cases.append(_matrix(rows, n, col_ids))
+    digest = hashlib.sha256()
+    verdicts = [0, 0]
+    for M in cases:
+        order = cop_order(M)
+        verdicts[order is None] += 1
+        digest.update(f"{order}\n".encode())
+    assert min(verdicts) > 50
+    assert digest.hexdigest()[:16] == "3798ff0ee59d0bf9"
