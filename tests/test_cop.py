@@ -15,7 +15,12 @@ from cosr import (
     set_system,
     verify_cop,
 )
-from cosr.cop import _cop_positions
+from cosr.cop import (
+    _PAIR_TEST_BELOW,
+    _cop_positions,
+    _overlaps_by_pairs,
+    _overlaps_by_refinement,
+)
 from cosr.graphs import _helly_scan, _incidence
 from cosr.oracle import brute_cop, random_instance
 
@@ -332,3 +337,37 @@ def test_cop_order_certificates_are_byte_identical():
         digest.update(f"{order}\n".encode())
     assert min(verdicts) > 50
     assert digest.hexdigest()[:16] == "3798ff0ee59d0bf9"
+
+
+def _overlap_masks_by_definition(sets):
+    return [
+        sum(1 << j for j, b in enumerate(sets) if a & b and a & ~b and b & ~a) for a in sets
+    ]
+
+
+def test_overlap_builders_agree():
+    # The refinement lemma against the pair test and the definition: rows
+    # may repeat, hold at most one 1, or tie in size; k spans both sides
+    # of the pair-test cut-off, and 3-5-row families reach both builders.
+    rng = random.Random(29)
+    families = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        k = rng.choice((rng.randint(0, 5), rng.randint(0, 120)))
+        kind = rng.randrange(4)
+        if kind == 0:  # equal sizes
+            size = rng.randint(1, n)
+            sets = [sum(1 << j for j in rng.sample(range(n), size)) for _ in range(k)]
+        elif kind == 1:  # at most one 1, among others
+            sets = [rng.choice((0, 1 << rng.randrange(n), rng.getrandbits(n))) for _ in range(k)]
+        else:
+            sets = [rng.getrandbits(n) & rng.getrandbits(n) | rng.getrandbits(n) for _ in range(k)]
+        families.append((sets + rng.sample(sets, min(k, 3)), n))  # duplicate rows
+    families += [(list(dict.fromkeys(s)), n) for s, n in families]
+    sizes = set()
+    for sets, n in families:
+        want = _overlap_masks_by_definition(sets)
+        assert _overlaps_by_pairs(sets) == want, (sets, n)
+        assert _overlaps_by_refinement(sets, n) == want, (sets, n)
+        sizes.add(len(sets) < _PAIR_TEST_BELOW)
+    assert sizes == {True, False}

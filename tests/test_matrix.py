@@ -243,3 +243,24 @@ def test_out_of_range_row_names_the_first_offender():
             BinaryMatrix((4, 5, 6), (1, 2, 3), rows)
     assert BinaryMatrix((4, 5, 6), (1, 2, 3), (7, 0, 4)).rows == (7, 0, 4)
     assert BinaryMatrix((4,), (), (0,)).rows == (0,)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 3\n1 2 0\n", "line 2: expected 3 cells from {0,1}, got '2'"),
+        ("2 3\n011\n# note\n1_0\n", "line 4: expected 3 cells from {0,1}, got '1_0'"),
+        ("1 3\n_ 1 0\n", "line 2: expected 3 cells from {0,1}, got '_'"),
+        ("1 2\n+1\n", "line 2: expected 2 cells from {0,1}, got '+1'"),
+        ("1 3\n1 + 0\n", "line 2: expected 3 cells from {0,1}, got '+'"),
+        ("1 2\n-1\n", "line 2: expected 2 cells from {0,1}, got '-1'"),
+        ("1 3\n0 - 1\n", "line 2: expected 3 cells from {0,1}, got '-'"),
+        ("2 2\n10\n\n  22  \n", "line 4: expected 2 cells from {0,1}, got '22'"),
+    ],
+)
+def test_parse_rejects_cells_outside_zero_one(text, message):
+    # Each bad cell keeps the row at n characters, so only the cell check
+    # can catch it; int(_, 2) alone would take "+1", "-1" and "1_0".
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert str(err.value) == message
