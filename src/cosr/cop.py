@@ -8,6 +8,14 @@ columns into a rigid sequence of blocks, unique up to reversal; the
 block sequences of different overlap components nest laminarly and are
 assembled recursively. Every certificate is re-checked, by the
 prefix-mask test behind ``verify_cop``, before being returned.
+
+The overlap edges among k distinct rows come from refining column
+classes: rows are visited by decreasing size, and each row's overlaps
+with the rows before it are read off the membership masks of the column
+classes it touches, which it then splits. That costs the row's number
+of touched classes plus O(log n) relabels per column, where testing all
+pairs costs k(k-1)/2. Families of fewer than ``_PAIR_TEST_BELOW``
+distinct rows keep the pair test, which is cheaper there.
 """
 
 from __future__ import annotations
