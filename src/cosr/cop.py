@@ -9,13 +9,10 @@ block sequences of different overlap components nest laminarly and are
 assembled recursively. Every certificate is re-checked, by the
 prefix-mask test behind ``verify_cop``, before being returned.
 
-The overlap edges among k distinct rows come from refining column
-classes: rows are visited by decreasing size, and each row's overlaps
-with the rows before it are read off the membership masks of the column
-classes it touches, which it then splits. That costs the row's number
-of touched classes plus O(log n) relabels per column, where testing all
-pairs costs k(k-1)/2. Families of fewer than ``_PAIR_TEST_BELOW``
-distinct rows keep the pair test, which is cheaper there.
+Overlaps among k distinct rows come from refining column classes by
+rows of decreasing size: each row costs the classes it touches, and each
+column O(log n) relabels, where the pair test costs k(k-1)/2; below
+``_PAIR_TEST_BELOW`` rows the pair test is cheaper and is kept.
 """
 
 from __future__ import annotations
@@ -111,10 +108,13 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
     return None if positions is None else tuple(map(M.col_ids.__getitem__, positions))
 
 
-# Below this many distinct sets the pair test is cheaper than refinement,
-# whose per-call set-up costs about 3-5 us more on families of 3-5 sets.
-# Timed on planted runs and random families (2 vCPU Xeon, CPython 3.11):
-# CROSSOVER
+# Below this many distinct sets the pair test is cheaper: refinement costs
+# 4-13 us more per call on the 3-5-set families the solver sends, and its
+# cost also grows with the overlap edges it fills in. Per call, pairs vs
+# refinement (2 vCPU Xeon, CPython 3.11.7): staircases 25 vs 28 us at
+# k = 16 and 139 vs 63 us at k = 32; random runs 508 vs 540 us at k = 64
+# and 1,290 vs 1,252 us at k = 96; random sets over 12 columns 751 vs
+# 901 us at k = 64 and 1,839 vs 1,808 us at k = 96.
 _PAIR_TEST_BELOW = 64
 
 
@@ -134,23 +134,19 @@ def _overlaps_by_pairs(sets: list[int]) -> list[int]:
 
 
 def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
-    """``_overlaps_by_pairs`` by refining column classes, for sets over n columns.
-
-    The sets are visited by non-increasing size, and the columns are kept
-    in classes of equal membership among the sets visited so far; each
-    class carries ``mem``, the mask of visited sets that hold it.
-
-    Lemma: let T be a visited set and S the next one, so |T| >= |S| and
-    T != S. Then T strictly overlaps S iff T holds some class that S
-    touches but not all of them. T is a union of classes, so T meets S
-    iff it holds a class S touches. T cannot lie inside S (it would equal
-    S), so T strictly overlaps S iff also S is not inside T, that is iff T
-    misses a class S touches. Hence S's overlaps among the visited sets
-    are OR(mem) & ~AND(mem) over the classes S touches.
-
-    Visiting S then splits each class it touches; the smaller side takes
-    the new class id (Hopcroft), so a column is relabelled O(log n) times.
-    """
+    """``_overlaps_by_pairs`` by refining column classes, for sets over n columns."""
+    # Visit the sets by non-increasing size, keeping the columns in classes
+    # of equal membership among the sets visited so far; ``mem`` masks the
+    # visited sets that hold a class.
+    # Lemma: let T be a visited set and S the next one, so |T| >= |S| and
+    # T != S. Then T strictly overlaps S iff T holds some class that S
+    # touches but not all of them. (T is a union of classes, so it meets S
+    # iff it holds a class S touches; T cannot lie inside S without
+    # equalling it, so T overlaps S iff also S is not inside T, that is iff
+    # T misses a class S touches.) So S's overlaps among the visited sets
+    # are OR(mem) & ~AND(mem) over the classes S touches.
+    # Visiting S splits each class it touches; the smaller side takes the
+    # new id (Hopcroft), so a column is relabelled O(log n) times.
     k = len(sets)
     adj = [0] * k
     cls_of = [0] * n  # column -> class id

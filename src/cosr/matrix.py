@@ -135,7 +135,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
             raise ParseError(header_no, f"expected {m} rows, found {len(rows)}") from None
         tokens = line.split()
         joined = "".join(tokens)
-        # Counting beats a set per row; it also rejects what int(_, 2) takes (+, -, _).
+        # Counting is cheaper than a set per row, and rejects the +, - and _
+        # that int(_, 2) would take.
         if len(joined) != n or joined.count("0") + joined.count("1") != n:
             bad = next((t for t in tokens if t not in ("0", "1")), line)
             raise ParseError(no, f"expected {n} cells from {{0,1}}, got {bad!r}")

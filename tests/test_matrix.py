@@ -218,9 +218,6 @@ def test_parse_edge_cases():
     padded = parse_matrix("\n\n  2 2  \n\n 1 0 \n01\n\n# done\n")
     assert padded.rows == (1, 2)
     assert parse_matrix("1 3\n01 1\n").rows == (6,)
-    for row in ("1_01", "+11"):  # int() would take these; the format does not
-        with pytest.raises(ParseError, match="expected 3 cells"):
-            parse_matrix(f"1 3\n{row}\n")
 
 
 def test_invalid_construction_rejected():
@@ -249,6 +246,8 @@ def test_out_of_range_row_names_the_first_offender():
     "text, message",
     [
         ("1 3\n1 2 0\n", "line 2: expected 3 cells from {0,1}, got '2'"),
+        ("1 3\n1_01\n", "line 2: expected 3 cells from {0,1}, got '1_01'"),
+        ("1 3\n+11\n", "line 2: expected 3 cells from {0,1}, got '+11'"),
         ("2 3\n011\n# note\n1_0\n", "line 4: expected 3 cells from {0,1}, got '1_0'"),
         ("1 3\n_ 1 0\n", "line 2: expected 3 cells from {0,1}, got '_'"),
         ("1 2\n+1\n", "line 2: expected 2 cells from {0,1}, got '+1'"),
@@ -259,8 +258,8 @@ def test_out_of_range_row_names_the_first_offender():
     ],
 )
 def test_parse_rejects_cells_outside_zero_one(text, message):
-    # Each bad cell keeps the row at n characters, so only the cell check
-    # can catch it; int(_, 2) alone would take "+1", "-1" and "1_0".
+    # int(_, 2) alone would take "+1", "-1", "+11" and "1_0"; the format
+    # does not. Each message names the first bad token and its line.
     with pytest.raises(ParseError) as err:
         parse_matrix(text)
     assert str(err.value) == message
