@@ -10,9 +10,10 @@ assembled recursively. Every certificate is re-checked, by the
 prefix-mask test behind ``verify_cop``, before being returned.
 
 Overlaps among k distinct rows come from refining column classes by
-rows of decreasing size: each row costs the classes it touches, and each
-column O(log n) relabels, where the pair test costs k(k-1)/2; below
-``_PAIR_TEST_BELOW`` rows the pair test is cheaper and is kept.
+rows of decreasing size: a row costs the classes it touches and the
+overlap edges it adds, and a column O(log n) relabels in all, where the
+pair test costs k(k-1)/2 tests. Below ``_PAIR_TEST_BELOW`` rows the pair
+test is cheaper and is kept.
 """
 
 from __future__ import annotations

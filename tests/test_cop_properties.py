@@ -4,7 +4,7 @@ verifies, and at oracle sizes the verdict is the brute-force one."""
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -21,8 +21,9 @@ def _on(order, positions):
 
 @st.composite
 def planted(draw, max_n=90):
-    """Runs of a hidden column order (every link, so k reaches past the
-    pair-test cut-off at larger n) plus a few arbitrary noise rows."""
+    """Runs of a hidden column order plus up to three arbitrary noise rows.
+    Above n = 12 every link is a run, so larger families pass the
+    pair-test cut-off; below, a drawn subset of the links is."""
     n = draw(st.integers(2, max_n))
     order = draw(st.permutations(range(n)))
     runs = [(p, p + 1) for p in range(n - 1) if draw(st.booleans()) or n > 12]
