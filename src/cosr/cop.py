@@ -183,9 +183,9 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
                 moved, cols[c] = outside, inside
                 mem.append(mem[c])
                 mem[c] |= bit
-            cols.append(moved)
             for p in _bits(moved):
-                cls_of[p] = len(cols) - 1
+                cls_of[p] = len(cols)
+            cols.append(moved)
     return adj
 
 
