@@ -11,7 +11,8 @@ search works on the input graph's adjacency masks and a mask of the
 vertex positions still present; positions ascend with labels, so every
 "smallest label first" tie-break is a "lowest bit first" one. It asks an
 interval test on that mask, which the d-COS-R solver replaces by a
-consecutive-ones test of its leaf matrix; MCS then only picks the witness.
+consecutive-ones test of its leaf matrix; MCS then only picks the witness,
+until a node is chordal: its descendants are too, and skip it.
 """
 
 from __future__ import annotations
@@ -127,28 +128,38 @@ def _asteroidal_witness(adj: list[int], live: int) -> int | None:
     lexicographic order of position.
 
     For a and b outside N[c], an a-b path avoiding N[c] exists iff a and
-    b lie in one component of G - N[c]. So one component labelling per
-    vertex decides every triple, and paths are built only for the triple
-    returned.
+    b lie in one component of G - N[c]. So per pair a < b, only the c > b
+    outside N[a] and N[b] that lie in a's component of G - N[b] and in b's
+    component of G - N[a] are tested, ascending, for b in a's component
+    of G - N[c]: the first triple found is the lexicographically first.
+    Each component of a G - N[z] is built once, when first asked, and
+    paths only for that triple.
     """
-    component = [[0] * len(adj) for _ in adj]  # component[z][u]: u's component of G - N[z]
-    for z in _bits(live):
-        rest = live & ~adj[z] & ~(1 << z)
-        while rest:
-            reach = frontier = rest & -rest
+    components: dict[tuple[int, int], int] = {}  # (z, u): u's component of G - N[z]
+
+    def component(z: int, u: int) -> int:
+        if (z, u) not in components:
+            rest = live & ~adj[z] & ~(1 << z)
+            reach = frontier = 1 << u
             while frontier:
                 grow = 0
-                for u in _bits(frontier):
-                    grow |= adj[u]
+                for w in _bits(frontier):
+                    grow |= adj[w]
                 frontier = grow & rest & ~reach
                 reach |= frontier
-            for u in _bits(reach):
-                component[z][u] = reach
-            rest &= ~reach
+            for w in _bits(reach):
+                components[z, w] = reach
+        return components[z, u]
+
     for a in _bits(live):
         for b in _bits(live & ~adj[a] & ~((2 << a) - 1)):
-            for c in _bits(live & ~adj[a] & ~adj[b] & ~((2 << b) - 1)):
-                if component[c][a] >> b & 1 and component[b][a] >> c & 1 and component[a][b] >> c & 1:
+            far = live & ~adj[a] & ~adj[b] & ~((2 << b) - 1)
+            if far:
+                far &= component(b, a)
+            if far:
+                far &= component(a, b)
+            for c in _bits(far):
+                if component(c, a) >> b & 1:
                     witness = 0
                     for s, t, z in ((a, b, c), (a, c, b), (b, c, a)):
                         for v in _bfs_path(adj, live & ~adj[z] & ~(1 << z), s, t):
@@ -162,7 +173,8 @@ class _NodeBudgetExceeded(Exception):
 
 
 def _branch(
-    adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest
+    adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest,
+    chordal: bool = False,
 ) -> int | None:
     counter[0] += 1
     if counter[0] > limit:
@@ -171,7 +183,10 @@ def _branch(
         return 0
     if d <= 0:
         return None
-    if _is_peo(adj, _mcs_order(adj, live)):
+    # A hole in G - v is a hole in G, so the children of a chordal node are
+    # chordal; ``chordal`` carries that down and spares them MCS and the PEO test.
+    chordal = chordal or _is_peo(adj, _mcs_order(adj, live))
+    if chordal:
         witness = _asteroidal_witness(adj, live)
         assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"
     else:
@@ -181,7 +196,7 @@ def _branch(
     # Any feasible deletion set must meet the witness; one avoiding the
     # forbidden vertices must meet its allowed part.
     for v in _bits(witness & ~forbidden):
-        sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval)
+        sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, chordal)
         if sub is not None:
             return sub | 1 << v
     return None

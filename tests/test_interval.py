@@ -180,3 +180,143 @@ def test_node_budget_fallback_is_reported():
     assert run(cycle(4), 1, 0) == ({1}, 1, True)
     assert run(two_disjoint_c4(), 1, 0) == (None, 1, True)
     assert run(cycle(4), -1, 0) == (None, 0, False)
+
+
+def _all_labels_witness(adj, live):
+    """The previous ``_asteroidal_witness``, which labels the components of
+    G - N[z] for every live z before it tests a triple; it also returns the
+    triple it found."""
+    from cosr.interval import _bfs_path
+    from cosr.matrix import _bits
+
+    component = [[0] * len(adj) for _ in adj]
+    for z in _bits(live):
+        rest = live & ~adj[z] & ~(1 << z)
+        while rest:
+            reach = frontier = rest & -rest
+            while frontier:
+                grow = 0
+                for u in _bits(frontier):
+                    grow |= adj[u]
+                frontier = grow & rest & ~reach
+                reach |= frontier
+            for u in _bits(reach):
+                component[z][u] = reach
+            rest &= ~reach
+    for a in _bits(live):
+        for b in _bits(live & ~adj[a] & ~((2 << a) - 1)):
+            for c in _bits(live & ~adj[a] & ~adj[b] & ~((2 << b) - 1)):
+                if component[c][a] >> b & 1 and component[b][a] >> c & 1 and component[a][b] >> c & 1:
+                    witness = 0
+                    for s, t, z in ((a, b, c), (a, c, b), (b, c, a)):
+                        for v in _bfs_path(adj, live & ~adj[z] & ~(1 << z), s, t):
+                            witness |= 1 << v
+                    return (a, b, c), witness
+    return None, None
+
+
+def _joined_avoiding(adj, live, s, t, z):
+    # A walk from s to t over live vertices outside N[z], as a set search.
+    banned = {z} | {v for v in range(len(adj)) if adj[z] >> v & 1}
+    seen, todo = {s}, [s]
+    while todo:
+        u = todo.pop()
+        for w in range(len(adj)):
+            if adj[u] >> w & 1 and live >> w & 1 and w not in banned and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return t in seen
+
+
+def test_asteroidal_witness_matches_the_all_labels_version():
+    from cosr.interval import _asteroidal_witness
+
+    rng = random.Random(61)
+    found = 0
+    for _ in range(4000):
+        n = rng.randint(1, 16)
+        adj = [0] * n
+        p = rng.choice((0.1, 0.15, 0.2, 0.3, 0.5))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        for v in rng.sample(range(n), rng.randint(0, min(n, 2))):  # isolated or adjacent to all
+            full = rng.random() < 0.5
+            adj[v] = ((1 << n) - 1) ^ 1 << v if full else 0
+            for u in range(n):
+                adj[u] = adj[u] & ~(1 << v) | (adj[v] >> u & 1) << v
+        live = rng.getrandbits(n) | rng.getrandbits(n)
+        triple, want = _all_labels_witness(adj, live)
+        assert _asteroidal_witness(adj, live) == want
+        if triple is None:
+            continue
+        found += 1
+        a, b, c = triple
+        assert not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1)
+        for s, t, z in ((a, b, c), (a, c, b), (b, c, a)):
+            assert _joined_avoiding(adj, live, s, t, z)
+        assert want & ~live == 0 and want >> a & want >> b & want >> c & 1
+    assert found > 500
+
+
+def _hole_with_spider(rng):
+    """A C4 or C5 with a net or a subdivided claw hung on it by one edge,
+    sometimes a second C4 hung on as well, and up to two pendant vertices,
+    under shuffled labels. The root is not chordal; deleting a vertex of
+    every hole leaves a chordal graph in which the net or the claw holds
+    an asteroidal triple."""
+    k = rng.choice((4, 5))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    net = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]  # a triangle with a pendant at each corner
+    claw = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]  # subdivided
+    parts = [rng.choice((net, claw))]
+    if rng.random() < 0.3:
+        parts.append([(0, 1), (1, 2), (2, 3), (0, 3)])
+    n = k
+    for part in parts:
+        size = 1 + max(v for e in part for v in e)
+        edges += [(n + u, n + v) for u, v in part] + [(rng.randrange(n), n + rng.randrange(size))]
+        n += size
+    for _ in range(rng.randint(0, 2)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    labels = rng.sample(range(-20, 40), n)
+    return Graph(labels, [(labels[u], labels[v]) for u, v in edges])
+
+
+def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
+    # A hole in G - v is a hole in G, so the children of a chordal node skip
+    # MCS. Passing no flag down runs MCS at every branch node, as before the
+    # skip; the counts also take in the graph test's own MCS runs.
+    import cosr.interval as iv
+    from cosr import is_chordal
+
+    def runs(graphs):
+        calls = [0]
+        mcs = iv._mcs_order
+
+        def counted(*args):
+            calls[0] += 1
+            return mcs(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(iv, "_mcs_order", counted)
+            out = [[iv._interval_deletion(g, d, iv._NODE_LIMIT, frozenset(), iv._graph_test(g)) for d in range(4)]
+                   for g in graphs]
+        return out, calls[0]
+
+    rng = random.Random(67)
+    graphs = [_hole_with_spider(rng) for _ in range(40)]
+    skipping, fewer = runs(graphs)
+    plain = iv._branch
+    monkeypatch.setattr(iv, "_branch", lambda *args: plain(*args[:7]))
+    everywhere, more = runs(graphs)
+    assert skipping == everywhere and fewer < more, (fewer, more)
+    for g, found in zip(graphs, skipping):
+        assert is_chordal(g) is None
+        brute = brute_interval_deletion(g, 3)
+        assert [s is not None for s, _, _ in found] == [brute is not None and len(brute) <= d for d in range(4)]
+        for d, (s, _, _) in enumerate(found):
+            assert s is None or (len(s) <= d and is_interval(g.without(s)))

@@ -600,6 +600,21 @@ def test_core_answers_are_byte_identical():
     assert answers.hexdigest()[:16] == "04c1c2228200d9b3"
 
 
+def test_core_leaves_run_mcs_once(monkeypatch):
+    # Each core leaf's derived graph is chordal at the branch root, and the
+    # children of a chordal node are chordal, so below the root the branch
+    # goes straight to the asteroidal witness.
+    import cosr.interval
+
+    events = []
+    monkeypatch.setattr(cosr.interval, "_mcs_order", _recording(events, "m", cosr.interval._mcs_order))
+    leaves = nodes = 0
+    for M, d in _core_solves():
+        stats = cos_r(M, d).stats
+        leaves, nodes = leaves + stats.leaves, nodes + stats.leaf_nodes
+    assert len(events) == leaves == 40 and nodes > 3000
+
+
 def test_subset_search_leaves_give_the_same_answers(monkeypatch):
     # With no branch-node budget every leaf takes the exhaustive subset
     # search, which asks the same interval test.
