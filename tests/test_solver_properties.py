@@ -47,9 +47,9 @@ def staircase(draw):
 
 @st.composite
 def core(draw):
-    """Rows U minus {j}, one per column j (optimum k - 2 for k >= 3), and
-    up to one arbitrary row."""
-    k = draw(st.integers(3, MAX_N))
+    """Rows U minus {j}, one per column j, whose optimum alone is k - 2,
+    plus up to MAX_M - k arbitrary rows."""
+    k = draw(st.integers(4, MAX_N))
     rows = [((1 << k) - 1) ^ 1 << j for j in range(k)]
     return k, rows + draw(st.lists(st.integers(0, (1 << k) - 1), max_size=MAX_M - k))
 
@@ -68,14 +68,9 @@ def pair_cycle(draw):
 @st.composite
 def convex_bipartite(draw):
     """The half adjacency matrix of a bipartite graph whose side-one
-    vertices see runs of a hidden side-two order, plus up to two side-one
-    vertices with arbitrary neighbourhoods."""
-    n = draw(st.integers(1, MAX_N))
-    order = draw(st.permutations(range(n)))
-    spans = st.integers(0, n - 1)
-    runs = draw(st.lists(st.tuples(spans, spans), min_size=1, max_size=MAX_M - 2))
-    masks = [_on(order, range(min(a, b), max(a, b) + 1)) for a, b in runs]
-    masks += draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2))
+    vertices see the rows of a planted family: runs of a hidden side-two
+    order, and noise."""
+    n, masks = draw(planted())
     side_one = [100 + i for i in range(len(masks))]
     edges = [(v, j) for v, mask in zip(side_one, masks) for j in range(n) if mask >> j & 1]
     M = half_adjacency(Graph(side_one + list(range(n)), edges), side_one)
