@@ -12,7 +12,9 @@ vertex positions still present; positions ascend with labels, so every
 "smallest label first" tie-break is a "lowest bit first" one. It asks an
 interval test on that mask, which the d-COS-R solver replaces by a
 consecutive-ones test of its leaf matrix; MCS then only picks the witness,
-until a node is chordal: its descendants are too, and skip it.
+until a node is chordal: its descendants are too, and skip it; the graph
+test's own verdict says which nodes are. Failed nodes are remembered with
+their subtree sizes, so a deletion set reached again is not searched again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .matrix import BinaryMatrix, _bits
 # subset search.
 _NODE_LIMIT = 200_000
 
-_IntervalTest = Callable[[int], bool]  # is the subgraph on these live positions interval?
+_IntervalTest = Callable[[int], bool | None]  # truthy iff the subgraph on these live positions is interval
 
 
 def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
@@ -50,12 +52,12 @@ def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
     )
 
 
-def _chordal_interval(adj: list[int], live: int) -> bool:
+def _chordal_interval(adj: list[int], live: int) -> bool | None:
     """Whether the subgraph induced on ``live`` is interval: chordal, and
-    its clique matrix has consecutive ones."""
+    its clique matrix has consecutive ones. None when it is not chordal."""
     order = _mcs_order(adj, live)
     if not _is_peo(adj, order):
-        return False
+        return None
     rows = [0] * len(adj)
     cliques = _clique_masks(adj, order)
     for j, clique in enumerate(cliques):
@@ -71,7 +73,7 @@ def _mask(G: Graph, labels) -> int:
 
 def is_interval(G: Graph) -> bool:
     """True iff ``G`` is an interval graph."""
-    return _chordal_interval(G._adj, (1 << G.n) - 1)
+    return bool(_chordal_interval(G._adj, (1 << G.n) - 1))
 
 
 def _bfs_path(adj: list[int], allowed: int, start: int, goal: int) -> list[int] | None:
@@ -174,31 +176,45 @@ class _NodeBudgetExceeded(Exception):
 
 def _branch(
     adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest,
-    chordal: bool = False,
+    failed: dict[int, int], chordal: bool = False,
 ) -> int | None:
-    counter[0] += 1
+    # Lemma: within one _interval_deletion call, adj, forbidden, limit and
+    # the interval test are fixed, and each branch edge removes one vertex
+    # and one unit of budget, so d is a function of live. ``chordal`` only
+    # decides whether MCS runs: a chordal node's MCS order passes _is_peo,
+    # so it takes the asteroidal branch with the same witness either way.
+    # So a live that failed once fails again after the same number of nodes,
+    # which ``failed`` holds; if they pass ``limit``, so does the search
+    # without the memo, inside that subtree.
+    start = counter[0]
+    counter[0] += failed.get(live, 1)
     if counter[0] > limit:
+        counter[0] = limit + 1
         raise _NodeBudgetExceeded
-    if interval(live):
-        return 0
-    if d <= 0:
+    if live in failed:
         return None
-    # A hole in G - v is a hole in G, so the children of a chordal node are
-    # chordal; ``chordal`` carries that down and spares them MCS and the PEO test.
-    chordal = chordal or _is_peo(adj, _mcs_order(adj, live))
-    if chordal:
-        witness = _asteroidal_witness(adj, live)
-        assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"
-    else:
-        hole = _shortest_hole(adj, live)
-        assert hole is not None, "non-chordal graph must contain a hole"
-        witness = sum(1 << v for v in hole)
-    # Any feasible deletion set must meet the witness; one avoiding the
-    # forbidden vertices must meet its allowed part.
-    for v in _bits(witness & ~forbidden):
-        sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, chordal)
-        if sub is not None:
-            return sub | 1 << v
+    verdict = interval(live)
+    if verdict:
+        return 0
+    if d > 0:
+        # A hole in G - v is a hole in G, so the children of a chordal node
+        # are chordal; ``chordal`` carries that down and spares them MCS. On
+        # the graph test's verdicts it starts true: they are None on a hole.
+        chordal = chordal or _is_peo(adj, _mcs_order(adj, live))
+        if chordal and verdict is not None:
+            witness = _asteroidal_witness(adj, live)
+            assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"
+        else:
+            hole = _shortest_hole(adj, live)
+            assert hole is not None, "non-chordal graph must contain a hole"
+            witness = sum(1 << v for v in hole)
+        # Any feasible deletion set must meet the witness; one avoiding the
+        # forbidden vertices must meet its allowed part.
+        for v in _bits(witness & ~forbidden):
+            sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, failed, chordal)
+            if sub is not None:
+                return sub | 1 << v
+    failed[live] = counter[0] - start
     return None
 
 
@@ -230,22 +246,25 @@ def interval_deletion(
     restricts the search to solutions avoiding them (None then means no
     such restricted solution exists).
     """
-    return _interval_deletion(G, d, node_limit, forbidden, _graph_test(G))[0]
+    return _interval_deletion(G, d, node_limit, forbidden)[0]
 
 
 def _interval_deletion(
-    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest
+    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest | None = None
 ) -> tuple[frozenset[int] | None, int, bool]:
-    """``interval_deletion`` plus the number of branch nodes it ran and
-    whether it fell back to the exhaustive subset search. ``interval`` is
-    the graph test, or a stand-in that agrees with it on every deletion set
-    outside ``forbidden``."""
+    """``interval_deletion`` plus the number of branch nodes the search
+    without the memo would run and whether it fell back to the exhaustive
+    subset search. ``interval`` is a stand-in for the graph test that
+    agrees with it on every deletion set outside ``forbidden``; without
+    one, the graph test runs and its verdicts tell which nodes are chordal."""
     if d < 0:
         return None, 0, False
     everything, banned = (1 << G.n) - 1, _mask(G, forbidden)
     counter = [0]
+    chordal = interval is None
+    interval = interval or _graph_test(G)
     try:
-        solution = _branch(G._adj, everything, d, banned, counter, node_limit, interval)
+        solution = _branch(G._adj, everything, d, banned, counter, node_limit, interval, {}, chordal)
         fell_back = False
     except _NodeBudgetExceeded:
         solution = _subset_search(everything, d, banned, interval)

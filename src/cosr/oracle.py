@@ -1,9 +1,9 @@
 """Brute-force reference implementations.
 
 These are correctness anchors, deliberately independent of the
-production algorithms: consecutive-ones feasibility is decided by
-searching column orders directly, deletion problems by enumerating
-candidate deletion sets, clique enumeration by growing vertex subsets.
+production algorithms: consecutive-ones feasibility is decided over the
+prefix sets of column orders, deletion problems by enumerating candidate
+deletion sets, clique enumeration by growing vertex subsets.
 Every entry point guards its input size and refuses rather than run
 forever.
 """
@@ -17,62 +17,42 @@ from math import comb
 from .errors import GuardError
 from .graphs import Graph
 from .interval import is_interval
-from .matrix import BinaryMatrix, delete_rows
+from .matrix import BinaryMatrix, _bits, delete_rows
 
-_MAX_BRUTE_COLS = 9
+_MAX_BRUTE_COLS = 14
 _MAX_COSR_SUBSETS = 500_000
 _MAX_CLIQUE_VERTICES = 16
 
 
-def _order_search(n: int, masks: list[int], want_order: bool) -> tuple[int, ...] | None:
-    """Depth-first search over all column orders, in lexicographic order.
+def _order_search(n: int, masks: list[int]) -> tuple[int, ...] | None:
+    """The lexicographically smallest column order (0-based positions)
+    giving every row consecutive 1s, or None.
 
-    A prefix that splits some row's 1s can never be completed (appending
-    columns only extends the order), so such prefixes are pruned; the
-    first completed order is therefore the lexicographically smallest
-    valid one. Returns column positions (0-based) or None.
+    The set P of columns placed first extends by column c iff every row
+    open at P (meeting P but not inside it) holds c; otherwise that row's
+    1s split. So whether P can be completed depends on P alone, and the
+    recursion remembers each P that cannot. Columns are tried ascending, so
+    the first completion found is the lexicographically smallest.
     """
-    if not masks:
-        return tuple(range(n)) if want_order else ()
-    chosen: list[int] = []
-    used = 0
-    # per row: 0 untouched, 1 inside its run, 2 run finished
-    state = [0] * len(masks)
+    full = (1 << n) - 1
+    dead: set[int] = set()
 
-    def extend() -> tuple[int, ...] | None:
-        nonlocal used
-        if len(chosen) == n:
-            return tuple(chosen)
-        for col in range(n):
-            bit = 1 << col
-            if used & bit:
-                continue
-            touched: list[tuple[int, int]] = []
-            ok = True
-            for r, mask in enumerate(masks):
-                if mask & bit:
-                    if state[r] == 2:
-                        ok = False
-                        break
-                    if state[r] == 0:
-                        touched.append((r, 0))
-                        state[r] = 1
-                elif state[r] == 1:
-                    touched.append((r, 1))
-                    state[r] = 2
-            if ok:
-                used |= bit
-                chosen.append(col)
-                result = extend()
-                if result is not None:
-                    return result
-                chosen.pop()
-                used &= ~bit
-            for r, old in reversed(touched):
-                state[r] = old
+    def complete(prefix: int) -> tuple[int, ...] | None:
+        if prefix == full:
+            return ()
+        if prefix not in dead:
+            need = full & ~prefix
+            for mask in masks:
+                if mask & prefix and mask & ~prefix:
+                    need &= mask
+            for c in _bits(need):
+                rest = complete(prefix | 1 << c)
+                if rest is not None:
+                    return (c,) + rest
+            dead.add(prefix)
         return None
 
-    return extend()
+    return complete(0)
 
 
 def _has_cop(n: int, rows: tuple[int, ...], verdicts: dict[frozenset[int], bool]) -> bool:
@@ -81,16 +61,17 @@ def _has_cop(n: int, rows: tuple[int, ...], verdicts: dict[frozenset[int], bool]
     # their verdicts through ``verdicts``.
     key = frozenset(mask for mask in rows if mask.bit_count() >= 2)
     if key not in verdicts:
-        verdicts[key] = _order_search(n, sorted(key), want_order=False) is not None
+        verdicts[key] = _order_search(n, sorted(key)) is not None
     return verdicts[key]
 
 
 def brute_cop(M: BinaryMatrix) -> tuple[int, ...] | None:
-    """Search all column permutations; first valid order or None."""
+    """The lexicographically first column order (by position) giving every
+    row consecutive 1s, or None."""
     if M.n > _MAX_BRUTE_COLS:
         raise GuardError(f"brute_cop refuses n={M.n} > {_MAX_BRUTE_COLS} columns")
     masks = sorted({mask for mask in M.rows if mask.bit_count() >= 2})
-    positions = _order_search(M.n, masks, want_order=True)
+    positions = _order_search(M.n, masks)
     if positions is None:
         return None
     return tuple(M.col_ids[p] for p in positions)

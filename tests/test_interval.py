@@ -311,7 +311,7 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
     graphs = [_hole_with_spider(rng) for _ in range(40)]
     skipping, fewer = runs(graphs)
     plain = iv._branch
-    monkeypatch.setattr(iv, "_branch", lambda *args: plain(*args[:7]))
+    monkeypatch.setattr(iv, "_branch", lambda *args: plain(*args[:8]))
     everywhere, more = runs(graphs)
     assert skipping == everywhere and fewer < more, (fewer, more)
     for g, found in zip(graphs, skipping):
@@ -320,3 +320,114 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
         assert [s is not None for s, _, _ in found] == [brute is not None and len(brute) <= d for d in range(4)]
         for d, (s, _, _) in enumerate(found):
             assert s is None or (len(s) <= d and is_interval(g.without(s)))
+
+
+def _memo_free_branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False):
+    """``_branch`` as it was before it remembered failed nodes or read
+    chordality from the graph test: MCS at each node not yet known to be
+    chordal, and ``failed`` left unread."""
+    import cosr.interval as iv
+    from cosr.matrix import _bits
+
+    counter[0] += 1
+    if counter[0] > limit:
+        raise iv._NodeBudgetExceeded
+    if interval(live):
+        return 0
+    if d <= 0:
+        return None
+    chordal = chordal or iv._is_peo(adj, iv._mcs_order(adj, live))
+    if chordal:
+        witness = iv._asteroidal_witness(adj, live)
+    else:
+        witness = sum(1 << v for v in iv._shortest_hole(adj, live))
+    for v in _bits(witness & ~forbidden):
+        sub = _memo_free_branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, failed, chordal)
+        if sub is not None:
+            return sub | 1 << v
+    return None
+
+
+def test_failed_node_memo_matches_the_memo_free_search(monkeypatch):
+    # Lemma at _branch: within one search, a live mask that failed once fails
+    # again after the same number of nodes. So the memo keeps the answer, the
+    # node count and the fallback of the search without it, also where the
+    # budget runs out inside a remembered subtree. Odd cases hand the graph
+    # test in as a stand-in, which runs MCS in _branch as the solver's leaf does.
+    # What runs after the branch is the same code on both sides, so the
+    # branch's own deletion set is compared unminimalized, and a stub that
+    # finds nothing stands in for the subset search after a fallback.
+    import cosr.interval as iv
+
+    monkeypatch.setattr(iv, "_minimalize", lambda everything, drop, interval: drop)
+    monkeypatch.setattr(iv, "_subset_search", lambda live, d, forbidden, interval: None)
+    rng = random.Random(71)
+    cases = []
+    for i in range(2000):
+        n = rng.randint(1, 13)
+        labels = sorted(rng.sample(range(-20, 40), n))
+        p = rng.choice((0.2, 0.3, 0.5, 0.7))
+        g = Graph(labels, [(u, v) for j, u in enumerate(labels) for v in labels[j + 1:] if rng.random() < p])
+        cases.append((g, frozenset(rng.sample(labels, rng.randint(0, min(2, n)))), i % 2))
+
+    def run():
+        return [iv._interval_deletion(g, d, limit, forbidden, iv._graph_test(g) if stand_in else None)
+                for g, forbidden, stand_in in cases for d in range(4) for limit in (1, 3, 7, 20, 200_000)]
+
+    out_on_hit = [0]
+    branch = iv._branch
+
+    def spying(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False):
+        hit = live in failed  # a hit returns at once, so only a hit's own frame counts
+        try:
+            return branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal)
+        except iv._NodeBudgetExceeded:
+            out_on_hit[0] += hit
+            raise
+
+    with monkeypatch.context() as patch:
+        patch.setattr(iv, "_branch", spying)
+        remembered = run()
+    monkeypatch.setattr(iv, "_branch", lambda *args: _memo_free_branch(*args[:8]))
+    assert remembered == run()
+    assert out_on_hit[0] > 0 and sum(fell_back for _, _, fell_back in remembered) > 1000
+
+
+def test_public_path_reads_chordality_from_the_graph_test(monkeypatch):
+    # The graph test runs MCS and the PEO test itself, so without a stand-in
+    # its verdict tells _branch whether a node is chordal (False) or has a
+    # hole (None), and _branch runs MCS no more. With the graph test handed in
+    # as a stand-in, _branch runs MCS as the solver's leaf does. Both take the
+    # same witnesses, so they visit the same nodes. The graphs are those of
+    # test_interval_deletion_matches_brute_force.
+    import sys
+
+    import cosr.interval as iv
+
+    rng = random.Random(23)
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7))) for _ in range(120)]
+    callers, visits = [], []
+    mcs, branch = iv._mcs_order, iv._branch
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mcs(*args)
+
+    def visiting(*args):
+        visits.append(args[1])
+        return branch(*args)
+
+    monkeypatch.setattr(iv, "_mcs_order", counted)
+    monkeypatch.setattr(iv, "_branch", visiting)
+
+    def run(stand_in):
+        callers.clear()
+        visits.clear()
+        out = [iv._interval_deletion(g, d, iv._NODE_LIMIT, frozenset(), iv._graph_test(g) if stand_in else None)
+               for g in graphs for d in range(4)]
+        return out, list(visits), callers.count("_branch")
+
+    told, told_visits, told_runs = run(False)
+    asked, asked_visits, asked_runs = run(True)
+    assert told == asked and told_visits == asked_visits
+    assert (told_runs, asked_runs) == (0, 185)

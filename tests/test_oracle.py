@@ -27,8 +27,12 @@ def test_brute_cop_returns_lexicographically_first_order():
 
 
 def test_brute_cop_guard():
+    # Each prefix set of columns is decided once, so 14 columns stay within
+    # reach on a NO instance whose other columns are all free.
+    triangle = parse_matrix("3 14\n" + "\n".join(row + "0" * 11 for row in ("110", "011", "101")))
+    assert brute_cop(triangle) is None
     with pytest.raises(GuardError):
-        brute_cop(random_instance(1, 2, 10, 0.5))
+        brute_cop(random_instance(1, 2, 15, 0.5))
 
 
 def test_brute_cosr_examples():
