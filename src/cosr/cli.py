@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .errors import GuardError, ParseError
 from .graphs import Graph, parse_graph
@@ -39,7 +40,8 @@ def _emit_report(report: SolveReport, show_stats: bool) -> int:
     return EXIT_YES if report.feasible else EXIT_NO
 
 
-def _emit_order(order) -> int:
+def _cmd_check_cop(args) -> int:
+    order = args.recognize(parse_matrix(_read_input(args.input)))
     if order is None:
         print("NO")
         return EXIT_NO
@@ -48,25 +50,18 @@ def _emit_order(order) -> int:
     return EXIT_YES
 
 
-def _emit_deleted(removed) -> int:
-    if removed is None:
-        print("NO")
-        return EXIT_NO
-    print(" ".join(str(v) for v in sorted(removed)))
-    return EXIT_YES
-
-
-def _cmd_check_cop(args) -> int:
-    return _emit_order(cop_order(parse_matrix(_read_input(args.input))))
-
-
 def _cmd_solve(args) -> int:
     M = parse_matrix(_read_input(args.input))
     return _emit_report(cos_r(M, args.d), args.stats)
 
 
 def _cmd_interval_deletion(args) -> int:
-    return _emit_deleted(interval_deletion(parse_graph(_read_input(args.input)), args.d))
+    removed = args.delete(parse_graph(_read_input(args.input)), args.d)
+    if removed is None:
+        print("NO")
+        return EXIT_NO
+    print(" ".join(str(v) for v in sorted(removed)))
+    return EXIT_YES
 
 
 def _parse_bipartite(text: str) -> tuple[Graph, frozenset[int]]:
@@ -95,19 +90,11 @@ def _cmd_convex_bipartite(args) -> int:
     return _emit_report(convex_bipartite_deletion(graph, side_one, args.d), args.stats)
 
 
-def _cmd_oracle_check_cop(args) -> int:
-    return _emit_order(brute_cop(parse_matrix(_read_input(args.input))))
-
-
 def _cmd_oracle_solve(args) -> int:
     M = parse_matrix(_read_input(args.input))
     deleted = brute_cosr(M, args.d)
     certificate = None if deleted is None else brute_cop(delete_rows(M, deleted))
     return _emit_report(SolveReport(deleted is not None, deleted, certificate), False)
-
-
-def _cmd_oracle_interval_deletion(args) -> int:
-    return _emit_deleted(brute_interval_deletion(parse_graph(_read_input(args.input)), args.d))
 
 
 def _cmd_gen(args) -> int:
@@ -128,7 +115,9 @@ def _nonnegative(value: str) -> int:
     return number
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="cosr",
         description="Exact consecutive-ones row deletion and interval deletion solvers.",
@@ -137,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cop", help="test a matrix for the consecutive ones property")
     p.add_argument("input", help="matrix file, or - for stdin")
-    p.set_defaults(func=_cmd_check_cop)
+    # Looked up at each call: the parser outlives a rebinding of ``cop_order``.
+    p.set_defaults(func=_cmd_check_cop, recognize=lambda M: cop_order(M))
 
     p = sub.add_parser("solve", help="delete at most d rows to reach the property")
     p.add_argument("input", help="matrix file, or - for stdin")
@@ -148,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interval-deletion", help="delete at most d vertices to reach an interval graph")
     p.add_argument("input", help="graph file, or - for stdin")
     p.add_argument("--d", type=_nonnegative, required=True)
-    p.set_defaults(func=_cmd_interval_deletion)
+    p.set_defaults(func=_cmd_interval_deletion, delete=interval_deletion)
 
     p = sub.add_parser("convex-bipartite", help="delete at most d side-one vertices to reach convexity")
     p.add_argument("input", help="graph file with a 'sides k' line, or - for stdin")
@@ -161,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = osub.add_parser("check-cop")
     p.add_argument("input")
-    p.set_defaults(func=_cmd_oracle_check_cop)
+    p.set_defaults(func=_cmd_check_cop, recognize=brute_cop)
 
     p = osub.add_parser("solve")
     p.add_argument("input")
@@ -171,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("interval-deletion")
     p.add_argument("input")
     p.add_argument("--d", type=_nonnegative, required=True)
-    p.set_defaults(func=_cmd_oracle_interval_deletion)
+    p.set_defaults(func=_cmd_interval_deletion, delete=brute_interval_deletion)
 
     p = sub.add_parser("gen", help="write a seeded random matrix file")
     p.add_argument("--rows", type=_nonnegative, required=True)

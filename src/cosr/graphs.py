@@ -14,7 +14,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import ContractError, ParseError
-from .matrix import BinaryMatrix, _bits, _logical_lines, support
+from .matrix import BinaryMatrix, _bits, _expect_end, _read_header, support
 
 
 class Graph:
@@ -318,15 +318,7 @@ def find_uncovered_clique(
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: header "n m", then m lines "u v"."""
-    lines = _logical_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "missing header") from None
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise ParseError(header_no, f"expected header 'n m', got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+    lines, header_no, n, m = _read_header(text, "n m")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for _ in range(m):
@@ -344,9 +336,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(no, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
         edges.append((u, v))
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError(extra[0], "trailing content after last edge")
+    _expect_end(lines, "edge")
     return Graph(range(1, n + 1), edges)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -100,13 +100,25 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _logical_lines(text: str):
-    """Yield (line_no, stripped content) skipping comments and blanks."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
+def _read_header(text: str, names: str) -> tuple[Iterator[tuple[int, str]], int, int, int]:
+    """The numbered lines of ``text`` after its header, skipping blanks and
+    comments, and the header's line number and two counts, which ``names``
+    names in errors."""
+    lines = ((no, line) for no, line in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and line[0] != "#")
+    try:
+        no, header = next(lines)
+    except StopIteration:
+        raise ParseError(1, "missing header") from None
+    parts = header.split()
+    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        raise ParseError(no, f"expected header '{names}', got {header!r}")
+    return lines, no, int(parts[0]), int(parts[1])
+
+
+def _expect_end(lines: Iterator[tuple[int, str]], last: str) -> None:
+    for no, _ in lines:  # the first line left over
+        raise ParseError(no, f"trailing content after last {last}")
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
@@ -118,15 +130,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     line, and blank lines are skipped, so no row lines are read. Labels
     are assigned 1-based in file order.
     """
-    lines = _logical_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "missing header") from None
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise ParseError(header_no, f"expected header 'm n', got {header!r}")
-    m, n = int(parts[0]), int(parts[1])
+    lines, header_no, m, n = _read_header(text, "m n")
     rows: list[int] = [] if n else [0] * m
     while len(rows) < m:
         try:
@@ -141,9 +145,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
             bad = next((t for t in tokens if t not in ("0", "1")), line)
             raise ParseError(no, f"expected {n} cells from {{0,1}}, got {bad!r}")
         rows.append(int(joined[::-1], 2))  # cell j is bit j
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError(extra[0], "trailing content after last row")
+    _expect_end(lines, "row")
     return BinaryMatrix(
         row_ids=tuple(range(1, m + 1)),
         col_ids=tuple(range(1, n + 1)),

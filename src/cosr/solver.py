@@ -18,13 +18,14 @@ fires the first applicable of three branching rules. Below the root rule
 A search node is the input minus the rows deleted on its path, held as a
 mask of live row positions over one row incidence built per solve: rules
 1-3 scan that incidence through the mask, one pass over the column pairs
-deciding rules 2 and 3, and a node's matrix is built only after a clean
-rule-1 scan. Each rule deletes one row per child and lowers the budget, so
-the branch tree has at most 4^d internal splits. When no rule applies, the
-identity augmentation turns the matrix into the clique matrix of its
-derived graph and the residue is solved exactly as interval vertex deletion.
-Row deletion keeps that correspondence, so the leaf search tests its live
-rows for consecutive ones instead of testing the graph for intervality.
+deciding rules 2 and 3, and step 0 tests the kept row masks for consecutive
+ones. Each rule deletes one row per child and lowers the budget, so the
+branch tree has at most 4^d internal splits. When no rule applies, the node
+builds its matrix, the only node that does; the identity augmentation turns
+it into the clique matrix of its derived graph and the residue is solved
+exactly as interval vertex deletion. Row deletion keeps that
+correspondence, so the leaf search tests its live rows for consecutive ones
+instead of testing the graph for intervality.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-# ``find_helly_violation``, ``find_uncovered_clique``, ``interval_deletion``
-# and ``set_system`` stay here for the benchmark's tracer, which wraps them in
-# ``cosr.solver`` by name. The leaf reads ``_LEAF_NODE_LIMIT`` from this
-# module, so a test can patch it.
+# ``cop_order``, ``find_helly_violation``, ``find_uncovered_clique``,
+# ``interval_deletion`` and ``set_system`` stay here for the benchmark's
+# tracer, which wraps them in ``cosr.solver`` by name. The leaf reads
+# ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it.
 from .graphs import Graph, _helly_scan, _incidence, _scan_column_pairs, derived_graph, find_c4, pair_subgraph
 from .graphs import find_helly_violation, find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
-from .cop import _cop_positions, cop_order, verify_cop
+from .cop import _consecutive, _cop_positions, cop_order  # noqa: F401
 from .matrix import BinaryMatrix, _bits, augment, delete_rows, set_system  # noqa: F401
 
 
@@ -98,22 +99,31 @@ def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     return None if pair is None else find_c4(pair_subgraph(M, *pair))
 
 
+def _kept(rows: tuple[int, ...], dead: int) -> tuple[int, ...]:
+    """``rows`` without the at most d positions in ``dead``, sliced out at C speed."""
+    for p in reversed([*_bits(dead)]):
+        rows = rows[:p] + rows[p + 1 :]
+    return rows
+
+
 def _solve(
     M: BinaryMatrix,
     d: int,
     stats: SolveStats,
     on_leaf: Callable[[BinaryMatrix, int], None] | None,
-) -> tuple[frozenset[int], BinaryMatrix, tuple[int, ...]] | None:
-    """The deleted rows, the survivor and its column order, or None, from a
-    depth-first search on an explicit stack: no recursion limit applies."""
-    # A node is M minus the rows in ``accumulated``, and ``live`` marks the
+) -> tuple[int, tuple[int, ...], list[int]] | None:
+    """The mask of deleted positions, the kept rows and the column positions
+    of a consecutive-ones survivor, or None, from a depth-first search on an
+    explicit stack: no recursion limit applies."""
+    # A node is M minus the rows deleted on its path, and ``live`` marks the
     # positions in M of the rows it keeps. Lemma: every scan reads rows only
     # through ``live`` and visits them in ascending position, and it breaks
-    # ties by label, so it sees and answers exactly what it would on
-    # ``delete_rows(M, accumulated)``, in the same order.
-    stack: list[tuple[int, frozenset[int], int, int]] = [((1 << M.m) - 1, frozenset(), d, 0)]
+    # ties by label, so it sees and answers exactly what it would on M with
+    # the other rows deleted, in the same order.
+    full = (1 << M.m) - 1
+    stack: list[tuple[int, int, int]] = [(full, d, 0)]
     while stack:
-        live, accumulated, budget, helly_start = stack.pop()
+        live, budget, helly_start = stack.pop()
         # Step 1: budget exhausted.
         if budget < 0:
             continue
@@ -122,14 +132,15 @@ def _solve(
         # no incidence. Below the root rule 1's resumed scan goes first: rows
         # with the property are intervals of one column order, and
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
-        # ``cop_order`` could only say None, and no matrix is built.
-        hit = _helly_scan(M.rows, meets, live & -(1 << helly_start)) if accumulated else None
+        # step 0 could only say None.
+        root = live == full
+        hit = None if root else _helly_scan(M.rows, meets, live & -(1 << helly_start))
         if hit is None:
-            matrix = delete_rows(M, accumulated) if accumulated else M
-            order = cop_order(matrix)
-            if order is not None:
-                return accumulated, matrix, order
-            if not accumulated:
+            kept = _kept(M.rows, full ^ live)
+            positions = _cop_positions(kept, M.n)
+            if positions is not None:
+                return full ^ live, kept, positions
+            if root:
                 cols, meets = _incidence(M.rows, M.n)
                 hit = _helly_scan(M.rows, meets, live)
 
@@ -151,7 +162,12 @@ def _solve(
             pair, uncovered = _scan_column_pairs(M, cols, meets, live)
             if pair is not None:
                 stats.rule2 += 1
-                branch_rows = find_c4(pair_subgraph(matrix, *pair))
+                # ``pair_subgraph`` of the node's matrix, built from the
+                # incidence, so ``find_c4`` hits as it would there.
+                keep = (cols[M.col_index[pair[0]]] | cols[M.col_index[pair[1]]]) & live
+                ids = M.row_ids
+                edges = [(ids[p], ids[q]) for p in _bits(keep) for q in _bits(meets[p] & keep) if p < q]
+                branch_rows = find_c4(Graph((ids[p] for p in _bits(keep)), edges))
             elif uncovered is not None:
                 stats.rule3 += 1
                 _, core = uncovered
@@ -169,7 +185,7 @@ def _solve(
         if branch_rows is not None:
             # Popped in ascending row order, each subtree before the next.
             for row in sorted(branch_rows, reverse=True):
-                stack.append((live & ~(1 << M.row_index[row]), accumulated | {row}, budget - 1, child_start))
+                stack.append((live & ~(1 << M.row_index[row]), budget - 1, child_start))
             continue
 
         # Step 5: no rule applies; the augmented matrix is the clique matrix
@@ -179,6 +195,7 @@ def _solve(
         # the matrix side feasible, and restricting loses no exactness
         # because the three-rule-clean state survives original-row deletion.
         stats.leaves += 1
+        matrix = delete_rows(M, [M.row_ids[p] for p in _bits(full ^ live)])
         if on_leaf is not None:
             on_leaf(matrix, budget)
         aug = augment(matrix)
@@ -194,15 +211,15 @@ def _solve(
         rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
         removed, nodes, fell_back = _interval_deletion(
             graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows,
-            lambda live: _cop_positions([rows[p] for p in _bits(live)], matrix.n) is not None)
+            lambda live: _cop_positions([rows[p] for p in _bits(live)], M.n) is not None)
         stats.leaf_nodes += nodes
         stats.leaf_fallbacks += fell_back
         # Step 6: derived-graph vertices carry the row labels, so ``removed``
-        # already names rows of the original matrix.
+        # already names rows of M. By the lemma the survivor has COP, so
+        # step 0 answers for it, past a Helly scan over no rows.
         if removed is not None:
             assert not removed & aug.identity_rows
-            survivor = delete_rows(matrix, removed)
-            return accumulated | removed, survivor, cop_order(survivor)
+            stack.append((live & ~sum(1 << M.row_index[r] for r in removed), budget - len(removed), M.m))
     return None
 
 
@@ -224,13 +241,13 @@ def cos_r(
     found = _solve(M, d, stats, on_leaf)
     if found is None:
         return SolveReport(False, None, None, stats)
-    solution, survivor, certificate = found
+    dead, kept, positions = found
+    solution = frozenset(M.row_ids[p] for p in _bits(dead))
     assert len(solution) <= d
-    # Every node's matrix is ``delete_rows(M, accumulated)``, so the
-    # certificate is the one ``cop_order(delete_rows(M, solution))`` gives.
-    assert survivor.row_ids == tuple(r for r in M.row_ids if r not in solution)
-    assert certificate is not None and verify_cop(survivor, certificate)
-    return SolveReport(True, solution, certificate, stats)
+    # Step 0 ran on the kept rows in storage order, so the certificate is
+    # the one ``cop_order(delete_rows(M, solution))`` gives.
+    assert _consecutive(set(kept), positions, M.n)
+    return SolveReport(True, solution, tuple(map(M.col_ids.__getitem__, positions)), stats)
 
 
 def half_adjacency(G: Graph, side_one: Iterable[int]) -> BinaryMatrix:

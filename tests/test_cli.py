@@ -235,3 +235,18 @@ def test_internal_error_exits_2(m1_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "injected" in captured.err
+
+
+def test_runs_share_one_parser(m1_file, monkeypatch):
+    # The parser is built once, on first use, and every later run reuses it.
+    import argparse
+
+    run(["check-cop", m1_file])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw)
+    )
+    assert run(["check-cop", m1_file]) == 1 and run(["oracle", "solve", "--d", "1", m1_file]) == 0
+    assert run(["solve", "--d", "x", m1_file]) == 2
+    assert built == []

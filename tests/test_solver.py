@@ -22,7 +22,6 @@ from cosr import (
     verify_cop,
 )
 from cosr.interval import _chordal_interval
-from cosr.matrix import _bits
 from cosr.solver import SolveStats, _find_rule2_cycle
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
 
@@ -412,12 +411,13 @@ def _recording(events, name, inner):
 
 
 def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
-    # Below the root, rule 1's scan runs first and cop_order only when the
-    # scan is clean: an H1 or H2 triple already proves there is no COP order.
+    # Below the root, rule 1's scan runs first and step 0's COP test only
+    # when the scan is clean: an H1 or H2 triple already proves there is no
+    # COP order.
     import cosr.solver
 
     events = []
-    monkeypatch.setattr(cosr.solver, "cop_order", _recording(events, "c", cosr.solver.cop_order))
+    monkeypatch.setattr(cosr.solver, "_kept", _recording(events, "k", cosr.solver._kept))
     monkeypatch.setattr(cosr.solver, "_helly_scan", _recording(events, "h", cosr.solver._helly_scan))
     keys = tuple(SolveStats().as_dict())
     cases = [(_planted(*args), d, text, stats) for args, d, text, stats in PINNED_PLANTED]
@@ -427,15 +427,16 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
         events.clear()
         report = cos_r(M, d)
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats)))
-        # H a scan that hits, h a clean one, c a cop_order call. The root
-        # runs step 0 first; below it, one step 0 follows each clean scan,
-        # and a leaf that answers YES adds its survivor's.
+        # H a scan that hits, h a clean one, k the kept rows that step 0
+        # tests for COP. The root runs step 0 first, on M's own rows; below
+        # it, one step 0 follows each clean scan, and a leaf that answers
+        # YES pushes its survivor, whose scan is over no rows.
         steps = "".join(name.upper() if name == "h" and hit else name for name, _, hit in events)
-        assert re.fullmatch(r"c[hH](H|hcc?)*", steps), steps
-        assert events[0][1][0] is M
+        assert re.fullmatch(r"k[hH](H|hk)*", steps), steps
+        assert events[0][2] is M.rows
         for (name, args, hit), (_, then, _) in zip(events[2:], events[3:]):
-            if name == "h" and not hit:  # step 0 on this node's rows
-                assert {M.row_ids[p] for p in _bits(args[2])} <= set(then[0].row_ids)
+            if name == "h" and not hit:  # step 0 on this node's rows, which hold the scanned ones
+                assert not then[1] & args[2]
         hits += steps.count("H")
     assert hits > 100
 
@@ -464,15 +465,15 @@ def test_search_deeper_than_the_recursion_limit():
 
 def test_one_derived_graph_per_node(monkeypatch):
     # A solve builds one incidence, once the root's step 0 fails. Rules 1-3
-    # read it through the node's live mask, so derived graphs are built only
-    # for a rule-2 hit's pair subgraph and a leaf's augmentation, and a
-    # node's matrix only after a clean Helly scan: never at a rule-1 node.
+    # and step 0 read it and M's rows through the node's live mask, so a
+    # matrix and a derived graph are built only at a leaf, for its
+    # augmentation: never at a rule-1, rule-2 or rule-3 node.
     import cosr.graphs
     import cosr.solver
 
     events = []
-    for module, name in [(cosr.solver, "_incidence"), (cosr.solver, "_helly_scan"), (cosr.solver, "cop_order"),
-                         (cosr.solver, "delete_rows"), (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph")]:
+    for module, name in [(cosr.solver, "_incidence"), (cosr.solver, "_cop_positions"), (cosr.solver, "delete_rows"),
+                         (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph")]:
         monkeypatch.setattr(module, name, _recording(events, name, getattr(module, name)))
     hits = {"rule1": 0, "rule2": 0, "rule3": 0, "leaves": 0}
     for i in range(168):
@@ -482,15 +483,12 @@ def test_one_derived_graph_per_node(monkeypatch):
                 events.clear()
                 stats = cos_r(M, d).stats
                 names = [name for name, _, _ in events]
-                root_fails = names[0] == "cop_order" and events[0][2] is None
+                root_fails = names[0] == "_cop_positions" and events[0][2] is None
                 assert names.count("_incidence") == root_fails, (i, k, d)
-                assert names.count("derived_graph") == stats.rule2 + stats.leaves, (i, k, d)
-                scan = None
-                for name, _, result in events:
-                    if name == "_helly_scan":
-                        scan = result
-                    elif name == "delete_rows":
-                        assert scan is None, (i, k, d)
+                assert names.count("derived_graph") == names.count("delete_rows") == stats.leaves, (i, k, d)
+                for name, then in zip(names, names[1:] + [None]):
+                    if name == "delete_rows":  # the leaf's matrix goes straight to its derived graph
+                        assert then == "derived_graph", (i, k, d)
                 for key in hits:
                     hits[key] += getattr(stats, key)
     assert min(hits.values()) > 0, hits
@@ -663,10 +661,11 @@ def test_subset_search_leaves_give_the_same_answers(monkeypatch):
     assert fallbacks > 20
 
 
-def _relabelled_solves():
+def _relabelled_solves(shifted=False):
     """Random matrices and complement-of-identity cores with extra rows, rows
     shuffled, labels gapped, negative and out of storage order (some below
-    -n, none in -n..-1), each at d = 0..3."""
+    -n, none in -n..-1; when ``shifted``, at least one in -n..-1 and one
+    below -n, so ``augment`` shifts its identity labels), each at d = 0..3."""
     rng = random.Random(53)
     for seed in range(300):
         n = 4 + seed % 5
@@ -685,6 +684,10 @@ def _relabelled_solves():
         rows = [sum(1 << perm[j] for j in range(n) if r >> j & 1) for r in rows]
         rng.shuffle(rows)
         labels = rng.sample([v for v in range(-40, 40) if not -n <= v < 0], len(rows))
+        if shifted:
+            labels[:2] = rng.randrange(-n, 0), rng.randrange(-40, -n)
+            labels[2:] = rng.sample([v for v in range(-40, 40) if v not in labels[:2]], len(rows) - 2)
+            rng.shuffle(labels)
         M = BinaryMatrix(tuple(labels), tuple(range(1, n + 1)), tuple(rows))
         for d in range(4):
             yield M, d
@@ -703,3 +706,18 @@ def test_relabelled_answers_are_byte_identical():
         rules = [a + b for a, b in zip(rules, (report.stats.rule1, report.stats.rule2, report.stats.rule3))]
     assert min(rules) > 200, rules
     assert answers.hexdigest()[:16] == "8479b5bc1dd1feda"
+
+
+def test_shifted_identity_labels_answers_are_byte_identical():
+    # Labels in -n..-1 move augment's identity labels below every original
+    # label, which changes the leaf's label order: pin those leaves too.
+    answers = hashlib.sha256()
+    leaves = 0
+    for M, d in _relabelled_solves(shifted=True):
+        assert any(-M.n <= r < 0 for r in M.row_ids) and min(M.row_ids) < -M.n
+        report = cos_r(M, d)
+        answers.update(report.to_text().encode())
+        answers.update(repr(report.stats.as_dict()).encode())
+        leaves += report.stats.leaves
+    assert leaves > 200, leaves
+    assert answers.hexdigest()[:16] == "cd5467a6b27aed22"

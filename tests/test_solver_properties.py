@@ -3,7 +3,7 @@ complement-of-identity cores, rule-2 cycles and convex bipartite graphs,
 each with noise rows and with all-zero rows and columns mixed in: the
 verdicts and the optimum ignore row and column order, a duplicated row
 never lowers the optimum, every YES certificate verifies, and the answer
-is the brute-force one. Matrices stay at oracle sizes: m <= 7, n <= 6,
+is the brute-force one. Matrices stay at oracle sizes: m <= 10, n <= 12,
 d <= 3."""
 
 import pytest
@@ -18,7 +18,7 @@ from cosr.oracle import brute_cosr  # noqa: E402
 # Derandomized and without an example database, so tier-1 stays repeatable.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-MAX_M, MAX_N, MAX_D = 7, 6, 3
+MAX_M, MAX_N, MAX_D = 10, 12, 3
 
 
 def _on(order, positions):
@@ -39,7 +39,7 @@ def planted(draw):
 @st.composite
 def staircase(draw):
     """Nested prefixes of a hidden order plus up to two arbitrary rows."""
-    depth = draw(st.integers(1, MAX_N - 1))
+    depth = draw(st.integers(1, min(MAX_N - 1, MAX_M - 2)))
     order = draw(st.permutations(range(depth + 1)))
     rows = [_on(order, range(r + 1)) for r in range(1, depth + 1)]
     return depth + 1, rows + draw(st.lists(st.integers(0, (2 << depth) - 1), max_size=2))
@@ -49,7 +49,7 @@ def staircase(draw):
 def core(draw):
     """Rows U minus {j}, one per column j, whose optimum alone is k - 2,
     plus up to MAX_M - k arbitrary rows."""
-    k = draw(st.integers(4, MAX_N))
+    k = draw(st.integers(4, min(MAX_N, MAX_M)))
     rows = [((1 << k) - 1) ^ 1 << j for j in range(k)]
     return k, rows + draw(st.lists(st.integers(0, (1 << k) - 1), max_size=MAX_M - k))
 
