@@ -48,10 +48,10 @@ from .matrix import BinaryMatrix, _bits, augment, delete_rows, set_system  # noq
 class SolveStats:
     """Counters describing one solver run."""
 
+    leaves: int = 0  # the fields in the order ``as_dict`` lists them
     rule1: int = 0
     rule2: int = 0
     rule3: int = 0
-    leaves: int = 0
     leaf_nodes: int = 0  # interval-deletion branch nodes, summed over leaves
     leaf_fallbacks: int = 0  # leaves that outgrew the node budget
 
@@ -60,15 +60,7 @@ class SolveStats:
         return self.rule1 + self.rule2 + self.rule3
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "internal_nodes": self.internal_nodes,
-            "leaves": self.leaves,
-            "rule1": self.rule1,
-            "rule2": self.rule2,
-            "rule3": self.rule3,
-            "leaf_nodes": self.leaf_nodes,
-            "leaf_fallbacks": self.leaf_fallbacks,
-        }
+        return {"internal_nodes": self.internal_nodes, **vars(self)}
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,14 @@ class SolveReport:
 def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     """Rows of the first induced 4-cycle over all column-pair subgraphs."""
     pair, _ = _scan_column_pairs(M, *_incidence(M.rows, M.n), (1 << M.m) - 1)
-    return None if pair is None else find_c4(pair_subgraph(M, *pair))
+    return None if pair is None else _rule2_c4(M, pair, 0)
+
+
+def _rule2_c4(M: BinaryMatrix, pair: tuple[int, int], dead: int) -> tuple[int, ...] | None:
+    """``find_c4`` on ``pair_subgraph`` of M without the rows at the
+    positions in ``dead``: an induced subgraph of an induced subgraph, so
+    the same graph, labels and first hit as on M with those rows deleted."""
+    return find_c4(pair_subgraph(M, *pair).without(M.row_ids[p] for p in _bits(dead)))
 
 
 def _kept(rows: tuple[int, ...], dead: int) -> tuple[int, ...]:
@@ -162,12 +161,7 @@ def _solve(
             pair, uncovered = _scan_column_pairs(M, cols, meets, live)
             if pair is not None:
                 stats.rule2 += 1
-                # ``pair_subgraph`` of the node's matrix, built from the
-                # incidence, so ``find_c4`` hits as it would there.
-                keep = (cols[M.col_index[pair[0]]] | cols[M.col_index[pair[1]]]) & live
-                ids = M.row_ids
-                edges = [(ids[p], ids[q]) for p in _bits(keep) for q in _bits(meets[p] & keep) if p < q]
-                branch_rows = find_c4(Graph((ids[p] for p in _bits(keep)), edges))
+                branch_rows = _rule2_c4(M, pair, full ^ live)
             elif uncovered is not None:
                 stats.rule3 += 1
                 _, core = uncovered
@@ -215,11 +209,15 @@ def _solve(
         stats.leaf_nodes += nodes
         stats.leaf_fallbacks += fell_back
         # Step 6: derived-graph vertices carry the row labels, so ``removed``
-        # already names rows of M. By the lemma the survivor has COP, so
-        # step 0 answers for it, past a Helly scan over no rows.
+        # already names rows of M. By the lemma the survivor has COP; its
+        # kept rows are tested in storage order, as step 0 tests a node's.
         if removed is not None:
             assert not removed & aug.identity_rows
-            stack.append((live & ~sum(1 << M.row_index[r] for r in removed), budget - len(removed), M.m))
+            dead = (full ^ live) | sum(1 << M.row_index[r] for r in removed)
+            kept = _kept(M.rows, dead)
+            positions = _cop_positions(kept, M.n)
+            assert positions is not None
+            return dead, kept, positions
     return None
 
 

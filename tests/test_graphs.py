@@ -25,7 +25,7 @@ from cosr import (
 )
 from cosr.graphs import _helly_scan, _incidence, _scan_column_pairs
 from cosr.oracle import brute_maximal_cliques, random_instance
-from cosr.solver import _find_rule2_cycle
+from cosr.solver import _find_rule2_cycle, _rule2_c4
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
 M2 = parse_matrix("3 8\n1 0 1 0 1 1 0 0\n0 1 0 1 0 1 1 0\n1 0 0 0 0 1 0 1\n")
@@ -427,6 +427,8 @@ def _pass_against_the_two_scans(M, drop):
         assert pair is None and uncovered == _uncovered_clique_by_labels(sub), (M, drop)
     else:
         assert find_c4(pair_subgraph(sub, *pair)) == cycle and uncovered is None, (M, drop)
+        # the solver's rule-2 cycle, read through the live mask of M
+        assert _rule2_c4(M, pair, _live(M, drop) ^ ((1 << M.m) - 1)) == cycle, (M, drop)
     return "rule2" if cycle else "rule3" if uncovered else "neither"
 
 

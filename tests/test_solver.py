@@ -430,9 +430,9 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
         # H a scan that hits, h a clean one, k the kept rows that step 0
         # tests for COP. The root runs step 0 first, on M's own rows; below
         # it, one step 0 follows each clean scan, and a leaf that answers
-        # YES pushes its survivor, whose scan is over no rows.
+        # YES tests its survivor's kept rows last, with no scan before.
         steps = "".join(name.upper() if name == "h" and hit else name for name, _, hit in events)
-        assert re.fullmatch(r"k[hH](H|hk)*", steps), steps
+        assert re.fullmatch(r"k[hH](H|hk)*k?", steps), steps
         assert events[0][2] is M.rows
         for (name, args, hit), (_, then, _) in zip(events[2:], events[3:]):
             if name == "h" and not hit:  # step 0 on this node's rows, which hold the scanned ones
@@ -465,9 +465,9 @@ def test_search_deeper_than_the_recursion_limit():
 
 def test_one_derived_graph_per_node(monkeypatch):
     # A solve builds one incidence, once the root's step 0 fails. Rules 1-3
-    # and step 0 read it and M's rows through the node's live mask, so a
-    # matrix and a derived graph are built only at a leaf, for its
-    # augmentation: never at a rule-1, rule-2 or rule-3 node.
+    # and step 0 read it and M's rows through the node's live mask, so
+    # derived graphs are built only for a rule-2 hit's pair subgraph, of M,
+    # and a leaf's augmentation, and a matrix only at a leaf.
     import cosr.graphs
     import cosr.solver
 
@@ -485,7 +485,8 @@ def test_one_derived_graph_per_node(monkeypatch):
                 names = [name for name, _, _ in events]
                 root_fails = names[0] == "_cop_positions" and events[0][2] is None
                 assert names.count("_incidence") == root_fails, (i, k, d)
-                assert names.count("derived_graph") == names.count("delete_rows") == stats.leaves, (i, k, d)
+                assert names.count("derived_graph") == stats.rule2 + stats.leaves, (i, k, d)
+                assert names.count("delete_rows") == stats.leaves, (i, k, d)
                 for name, then in zip(names, names[1:] + [None]):
                     if name == "delete_rows":  # the leaf's matrix goes straight to its derived graph
                         assert then == "derived_graph", (i, k, d)
