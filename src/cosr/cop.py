@@ -14,12 +14,16 @@ rows of decreasing size: a row costs the classes it touches and the
 overlap edges it adds, and a column O(log n) relabels in all, where the
 pair test costs k(k-1)/2 tests. Below ``_PAIR_TEST_BELOW`` rows the pair
 test is cheaper and is kept.
+
+A component's blocks form a linked list, with a map from each placed
+column to its block. A set meets exactly the blocks holding its placed
+columns, so inserting it takes time in proportion to the set, plus
+O(log n) relabels per column in all: a split relabels its smaller side.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ContractError
@@ -51,52 +55,79 @@ def _consecutive(rows: Iterable[int], positions: Sequence[int], n: int) -> bool:
     return True
 
 
-def _insert_set(blocks: list[int], s: int, placed: int) -> list[int] | None:
-    """Refine a block sequence so that ``s`` also occupies a contiguous run.
+def _component_blocks(sets: list[int], members: Sequence[int], blk: list[int]) -> list[int] | None:
+    """The block sequence of one overlap component, or None if it has none.
 
-    ``blocks`` holds pairwise-disjoint column masks, with union ``placed``,
-    whose order is forced (up to reversal) by the sets placed so far; ``s``
-    strictly overlaps at least one of them. Returns the refined sequence,
-    or None when no arrangement keeps every placed set and ``s`` contiguous.
+    Each of the ``members`` (indices into ``sets``) after the first strictly
+    overlaps an earlier one. The blocks are disjoint column masks in the
+    order, unique up to reversal, that the sets placed so far force; each
+    set refines them until it covers a run of blocks.
     """
-    hit = list(compress(range(len(blocks)), map(s.__and__, blocks)))
-    assert hit, "inserted set must intersect the placed region"
-    lo, hi = hit[0], hit[-1]
-    if hi - lo + 1 != len(hit):
-        return None
-    new = s & ~placed
-    for i in range(lo + 1, hi):
-        if blocks[i] & ~s:
+    # A circular doubly linked list by block id, closed by the empty block
+    # 0. ``blk``, scratch with an entry per column, maps placed ones to blocks.
+    placed = sets[members[0]]
+    mask, prv, nxt = [0, placed], [1, 0], [1, 0]
+    for p in _bits(placed):
+        blk[p] = 1
+    for i in members[1:]:
+        s = sets[i]
+        # Lemma: the blocks partition the placed columns, so s meets exactly
+        # the blocks holding a column of s & placed. They form a run iff the
+        # run of blocks meeting s around one of them covers s & placed.
+        common = s & placed
+        assert common, "inserted set must intersect the placed region"
+        lo = hi = blk[(common & -common).bit_length() - 1]
+        span = mask[lo]
+        while mask[prv[lo]] & s:
+            lo = prv[lo]
+            span |= mask[lo]
+        while mask[nxt[hi]] & s:
+            hi = nxt[hi]
+            span |= mask[hi]
+        if common & ~span:
             return None
-    if lo == hi:
-        inside = blocks[lo] & s
-        outside = blocks[lo] & ~s
-        # s cannot sit wholly inside one block: it would be nested in or
-        # disjoint from every placed set, contradicting strict overlap.
-        assert new, "set confined to a single block cannot strictly overlap"
-        tail = [outside] if outside else []
-        if len(blocks) == 1:
-            return tail + [inside, new]
-        if lo == 0:
-            return [new, inside] + tail + blocks[1:]
-        if lo == len(blocks) - 1:
-            return blocks[:lo] + tail + [inside, new]
-        return None
-    left_in, left_out = blocks[lo] & s, blocks[lo] & ~s
-    right_in, right_out = blocks[hi] & s, blocks[hi] & ~s
-    core = [left_in] + blocks[lo + 1 : hi] + [right_in]
-    prefix = blocks[:lo] + ([left_out] if left_out else [])
-    suffix = ([right_out] if right_out else []) + blocks[hi + 1 :]
-    if not new:
-        return prefix + core + suffix
-    attach_left = lo == 0 and not left_out
-    attach_right = hi == len(blocks) - 1 and not right_out
-    assert not (attach_left and attach_right), "set would contain the placed region"
-    if attach_left:
-        return [new] + core + suffix
-    if attach_right:
-        return prefix + core + [new]
-    return None
+        new = s ^ common
+        out = span & ~s
+        if lo != hi:
+            left_out, right_out = mask[lo] & out, mask[hi] & out
+        else:
+            # s cannot sit wholly inside one block: it would be nested in or
+            # disjoint from every placed set, contradicting strict overlap.
+            # Its new columns take an end; the block's others go inwards.
+            assert new, "set confined to a single block cannot strictly overlap"
+            left_out, right_out = (out, 0) if nxt[hi] == 0 else (0, out)
+        at_head = prv[lo] == 0 and not left_out
+        at_tail = nxt[hi] == 0 and not right_out
+        # An inner block that leaves s, or new columns with no free end.
+        if out != left_out | right_out or new and not (at_head or at_tail):
+            return None
+        assert not (new and at_head and at_tail), "set would contain the placed region"
+        placed |= new
+        # Split the outer parts off the end blocks, then put the new columns
+        # next to block 0: on its left, past the last block, if at_tail.
+        for b, part, left in (lo, left_out, True), (hi, right_out, False), (0, new, at_tail):
+            if not part:
+                continue
+            if b:  # a split: the smaller side moves, so a column moves O(log n) times
+                rest = mask[b] ^ part
+                if part.bit_count() > rest.bit_count():
+                    part, rest, left = rest, part, not left
+                mask[b] = rest
+            x = len(mask)
+            p, q = (prv[b], b) if left else (b, nxt[b])
+            mask.append(part)
+            prv.append(p)
+            nxt.append(q)
+            nxt[p] = prv[q] = x
+            while part:
+                low = part & -part
+                blk[low.bit_length() - 1] = x
+                part ^= low
+    blocks, b = [], nxt[0]
+    while b:
+        blocks.append(mask[b])
+        b = nxt[b]
+    return blocks
 
 
 def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
@@ -214,16 +245,16 @@ def _cop_positions(rows: Iterable[int], n: int) -> list[int] | None:
 
     comp_blocks: list[list[int]] = []
     comp_union: list[int] = []
+    blk = [0] * n
     for members in comp_members:
-        placed = sets[members[0]]
-        blocks: list[int] | None = [placed]
-        for idx in members[1:]:
-            blocks = _insert_set(blocks, sets[idx], placed)
+        if len(members) == 1:  # one set inserts nothing
+            blocks = [sets[members[0]]]
+        else:
+            blocks = _component_blocks(sets, members, blk)
             if blocks is None:
                 return None
-            placed |= sets[idx]
         comp_blocks.append(blocks)
-        comp_union.append(placed)
+        comp_union.append(sum(blocks))  # disjoint masks: the sum is the union
 
     # Component unions form a laminar family; nest each one inside the
     # unique block of its tightest container. Equal unions are possible

@@ -40,7 +40,7 @@ from typing import Callable, Iterable
 from .graphs import Graph, _helly_scan, _incidence, _scan_column_pairs, derived_graph, find_c4, pair_subgraph
 from .graphs import find_helly_violation, find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
-from .cop import _consecutive, _cop_positions, cop_order  # noqa: F401
+from .cop import _cop_positions, cop_order  # noqa: F401
 from .matrix import BinaryMatrix, _bits, augment, delete_rows, set_system  # noqa: F401
 
 
@@ -110,9 +110,9 @@ def _solve(
     d: int,
     stats: SolveStats,
     on_leaf: Callable[[BinaryMatrix, int], None] | None,
-) -> tuple[int, tuple[int, ...], list[int]] | None:
-    """The mask of deleted positions, the kept rows and the column positions
-    of a consecutive-ones survivor, or None, from a depth-first search on an
+) -> tuple[int, list[int]] | None:
+    """The mask of deleted positions and the column positions of a
+    consecutive-ones survivor, or None, from a depth-first search on an
     explicit stack: no recursion limit applies."""
     # A node is M minus the rows deleted on its path, and ``live`` marks the
     # positions in M of the rows it keeps. Lemma: every scan reads rows only
@@ -135,10 +135,9 @@ def _solve(
         root = live == full
         hit = None if root else _helly_scan(M.rows, meets, live & -(1 << helly_start))
         if hit is None:
-            kept = _kept(M.rows, full ^ live)
-            positions = _cop_positions(kept, M.n)
+            positions = _cop_positions(_kept(M.rows, full ^ live), M.n)
             if positions is not None:
-                return full ^ live, kept, positions
+                return full ^ live, positions
             if root:
                 cols, meets = _incidence(M.rows, M.n)
                 hit = _helly_scan(M.rows, meets, live)
@@ -214,10 +213,9 @@ def _solve(
         if removed is not None:
             assert not removed & aug.identity_rows
             dead = (full ^ live) | sum(1 << M.row_index[r] for r in removed)
-            kept = _kept(M.rows, dead)
-            positions = _cop_positions(kept, M.n)
+            positions = _cop_positions(_kept(M.rows, dead), M.n)
             assert positions is not None
-            return dead, kept, positions
+            return dead, positions
     return None
 
 
@@ -239,12 +237,12 @@ def cos_r(
     found = _solve(M, d, stats, on_leaf)
     if found is None:
         return SolveReport(False, None, None, stats)
-    dead, kept, positions = found
+    dead, positions = found
     solution = frozenset(M.row_ids[p] for p in _bits(dead))
     assert len(solution) <= d
     # Step 0 ran on the kept rows in storage order, so the certificate is
-    # the one ``cop_order(delete_rows(M, solution))`` gives.
-    assert _consecutive(set(kept), positions, M.n)
+    # the one ``cop_order(delete_rows(M, solution))`` gives; ``_cop_positions``
+    # has checked it on those rows.
     return SolveReport(True, solution, tuple(map(M.col_ids.__getitem__, positions)), stats)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -339,6 +340,25 @@ def test_cop_order_certificates_are_byte_identical():
     assert digest.hexdigest()[:16] == "3798ff0ee59d0bf9"
 
 
+def test_cop_order_certificates_at_recognize_sizes_are_byte_identical():
+    # The sizes of the recognize benchmark: planted runs at n = 400 with
+    # 400-1,600 extra runs and their spoiled copies, and deep staircases.
+    # Pinned by hash, so faster block insertion cannot move a tie-break.
+    rng = random.Random(43)
+    cases = []
+    for extra in (400, 800, 1200, 1600):
+        cases += _planted_runs(rng, 400, extra)
+    cases += [_staircase(rng, depth) for depth in (400, 800)]
+    digest = hashlib.sha256()
+    verdicts = []
+    for M in cases:
+        order = cop_order(M)
+        verdicts.append(order is not None)
+        digest.update(f"{order}\n".encode())
+    assert verdicts == [True, False] * 4 + [True, True]
+    assert digest.hexdigest()[:16] == "3518eab3509d7654"
+
+
 def _overlap_masks_by_definition(sets):
     return [
         sum(1 << j for j, b in enumerate(sets) if a & b and a & ~b and b & ~a) for a in sets
@@ -371,3 +391,108 @@ def test_overlap_builders_agree():
         assert _overlaps_by_refinement(sets, n) == want, (sets, n)
         sizes.add(len(sets) < _PAIR_TEST_BELOW)
     assert sizes == {True, False}
+
+
+def _insert_set_reference(blocks, s, placed, seen):
+    """The list-based insertion that the linked block sequence replaced: it
+    rebuilds the block list per set. ``seen`` counts the cases it meets."""
+    hit = [i for i, block in enumerate(blocks) if block & s]
+    assert hit, "inserted set must intersect the placed region"
+    lo, hi = hit[0], hit[-1]
+    if hi - lo + 1 != len(hit):
+        seen["not a run"] += 1
+        return None
+    new = s & ~placed
+    for i in range(lo + 1, hi):
+        if blocks[i] & ~s:
+            seen["inner block leaves s"] += 1
+            return None
+    if lo == hi:
+        inside = blocks[lo] & s
+        outside = blocks[lo] & ~s
+        assert new, "set confined to a single block cannot strictly overlap"
+        tail = [outside] if outside else []
+        if len(blocks) == 1:
+            seen["split only block"] += 1
+            return tail + [inside, new]
+        if lo == 0:
+            seen["split head block" if outside else "join at head"] += 1
+            return [new, inside] + tail + blocks[1:]
+        if lo == len(blocks) - 1:
+            seen["split tail block" if outside else "join at tail"] += 1
+            return blocks[:lo] + tail + [inside, new]
+        seen["no free end"] += 1
+        return None
+    left_in, left_out = blocks[lo] & s, blocks[lo] & ~s
+    right_in, right_out = blocks[hi] & s, blocks[hi] & ~s
+    core = [left_in] + blocks[lo + 1 : hi] + [right_in]
+    prefix = blocks[:lo] + ([left_out] if left_out else [])
+    suffix = ([right_out] if right_out else []) + blocks[hi + 1 :]
+    if not new:
+        seen["refine"] += 1
+        return prefix + core + suffix
+    attach_left = lo == 0 and not left_out
+    attach_right = hi == len(blocks) - 1 and not right_out
+    assert not (attach_left and attach_right), "set would contain the placed region"
+    if attach_left:
+        seen["attach at head"] += 1
+        return [new] + core + suffix
+    if attach_right:
+        seen["attach at tail"] += 1
+        return prefix + core + [new]
+    seen["no free end"] += 1
+    return None
+
+
+def _component_family(rng):
+    """Runs of a hidden column order, some spoiled, or random sets; k on
+    both sides of the pair-test cut-off."""
+    n = rng.randint(3, 40)
+    k = rng.choice((rng.randint(2, 12), rng.randint(2, 12), rng.randint(_PAIR_TEST_BELOW, 90)))
+    if rng.random() < 0.2:
+        return [rng.getrandbits(n) for _ in range(k)], n
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = []
+    for _ in range(k):
+        first = rng.randrange(n - 1)
+        last = min(n - 1, first + rng.randint(1, max(1, n // rng.choice((2, 4)))))
+        rows.append(sum(1 << order[p] for p in range(first, last + 1)))
+    for _ in range(rng.choice((0, 0, 1, 2))):  # a gap or a stray column
+        rows[rng.randrange(k)] ^= 1 << order[rng.randrange(n)]
+    return rows, n
+
+
+def test_linked_block_sequence_matches_the_list_insertion(monkeypatch):
+    # Each component that _cop_positions builds, in its breadth-first member
+    # order, gets the list-based insertion's block list, or None from both.
+    import cosr.cop
+
+    build = cosr.cop._component_blocks
+    seen = Counter()
+    sides = set()
+    components = 0
+
+    def checked(sets, members, blk):
+        nonlocal components
+        components += 1
+        sides.add(len(sets) < _PAIR_TEST_BELOW)
+        blocks = build(sets, members, blk)
+        placed, want = sets[members[0]], [sets[members[0]]]
+        for i in members[1:]:
+            want = _insert_set_reference(want, sets[i], placed, seen)
+            if want is None:
+                break
+            placed |= sets[i]
+        assert blocks == want, (sets, members)
+        return blocks
+
+    monkeypatch.setattr(cosr.cop, "_component_blocks", checked)
+    rng = random.Random(37)
+    while components < 3000:
+        _cop_positions(*_component_family(rng))
+    assert sides == {True, False}
+    assert set(seen) == {
+        "not a run", "inner block leaves s", "no free end", "split only block", "split head block",
+        "split tail block", "join at head", "join at tail", "refine", "attach at head", "attach at tail",
+    }, seen

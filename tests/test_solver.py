@@ -722,3 +722,24 @@ def test_shifted_identity_labels_answers_are_byte_identical():
         leaves += report.stats.leaves
     assert leaves > 200, leaves
     assert answers.hexdigest()[:16] == "cd5467a6b27aed22"
+
+
+def test_a_wrong_block_order_fails_the_one_certificate_check(monkeypatch):
+    # cos_r checks a YES certificate once, where _cop_positions ends. A
+    # component block builder that swaps two blocks must trip that check,
+    # both at the root's step 0 and on the kept rows of a deeper node.
+    import cosr.cop
+
+    path = parse_matrix("3 4\n1100\n0110\n0011\n")
+    cycle = parse_matrix("4 4\n1100\n0110\n0011\n1001\n")
+    assert cos_r(path, 0).feasible and cos_r(cycle, 1).feasible
+    build = cosr.cop._component_blocks
+
+    def swapped(*args):
+        blocks = build(*args)
+        return None if blocks is None else blocks[1:2] + blocks[:1] + blocks[2:]
+
+    monkeypatch.setattr(cosr.cop, "_component_blocks", swapped)
+    for M, d in ((path, 0), (cycle, 1)):
+        with pytest.raises(AssertionError, match="invalid certificate"):
+            cos_r(M, d)
