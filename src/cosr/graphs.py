@@ -117,6 +117,19 @@ def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     return cols, [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
 
 
+def _containers(cols: list[int], m: int) -> list[int]:
+    """``sup[r]`` has bit s when row s holds every column of row r, given
+    ``cols`` from ``_incidence`` over m rows."""
+    sup = [-1] * m
+    for members in cols:
+        rest = members
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sup[low.bit_length() - 1] &= members
+    return sup
+
+
 def derived_graph(M: BinaryMatrix) -> Graph:
     """One vertex per row; an edge where two rows share a 1-column."""
     pairs = sorted(zip(M.row_ids, M.rows))  # graph positions ascend with labels
@@ -126,19 +139,28 @@ def derived_graph(M: BinaryMatrix) -> Graph:
     return G
 
 
-def _helly_scan(rows: Sequence[int], meets: list[int], live: int) -> tuple[tuple[int, int, int], str] | None:
+def _helly_scan(
+    rows: Sequence[int], meets: list[int], sup: list[int], live: int
+) -> tuple[tuple[int, int, int], str] | None:
     """Positions and kind of the first triple of ``live`` rows, in order of
     position, violating H1 or H2 (H1 tested first); ``meets`` comes from
-    ``_incidence(rows, n)``, and only pairwise-meeting triples are visited."""
+    ``_incidence(rows, n)`` and ``sup`` from ``_containers``, and only
+    pairwise-meeting triples without a nested pair are visited."""
+    # Lemma: a triple holding a nested pair x <= y is clean. The pair's
+    # intersection is x, which meets the third row (no H1), and x has no
+    # column outside y (no H2). So i skips the rows containing a, j is
+    # skipped when b <= a, and the third rows skip those containing b.
     for i in _bits(live):
         a = rows[i]
-        later = meets[i] & live & ~((2 << i) - 1)
+        later = meets[i] & live & ~sup[i] & -(2 << i)
         while later:
             low = later & -later
             later ^= low
             j = low.bit_length() - 1
             b = rows[j]
-            both = later & meets[j]  # rows after j meeting a and b
+            if not b & ~a:
+                continue
+            both = later & meets[j] & ~sup[j]  # rows after j meeting a and b, not holding b
             while both:
                 low = both & -both
                 both ^= low
@@ -151,7 +173,8 @@ def _helly_scan(rows: Sequence[int], meets: list[int], live: int) -> tuple[tuple
 
 def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
     """First row triple (in matrix row order) violating H1 or H2, by ``_helly_scan``."""
-    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[1], (1 << M.m) - 1)
+    cols, meets = _incidence(M.rows, M.n)
+    hit = _helly_scan(M.rows, meets, _containers(cols, M.m), (1 << M.m) - 1)
     if hit is None:
         return None
     return HellyViolation(tuple(M.row_ids[p] for p in hit[0]), hit[1])

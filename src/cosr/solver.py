@@ -9,7 +9,8 @@ fires the first applicable of three branching rules. Below the root rule
 
 1. three pairwise-intersecting row sets with an empty common
    intersection, or none of which lies in the union of the other two
-   (no interval family can realize either pattern);
+   (no interval family can realize either pattern, and a triple with one
+   set inside another shows neither, so the scan skips such triples);
 2. an induced 4-cycle inside the subgraph spanned by two columns'
    vertex sets (forbidden in any interval graph);
 3. a maximal clique of the derived graph realized by no column,
@@ -17,13 +18,14 @@ fires the first applicable of three branching rules. Below the root rule
 
 A search node is the input minus the rows deleted on its path, held as a
 mask of live row positions over one row incidence built per solve: rules
-1-3 scan that incidence through the mask, one pass over the column pairs
-deciding rules 2 and 3, and step 0 tests the kept row masks for consecutive
-ones. Each rule deletes one row per child and lowers the budget, so the
-branch tree has at most 4^d internal splits. When no rule applies, the node
-builds its matrix, the only node that does; the identity augmentation turns
-it into the clique matrix of its derived graph and the residue is solved
-exactly as interval vertex deletion. Row deletion keeps that
+1-3 scan that incidence through the mask, rule 1 reading each meeting
+pair's candidate third rows as one row mask and one pass over the column
+pairs deciding rules 2 and 3, and step 0 tests the kept row masks for
+consecutive ones. Each rule deletes one row per child and lowers the
+budget, so the branch tree has at most 4^d internal splits. When no rule
+applies, the node builds its matrix, the only node that does; the identity
+augmentation turns it into the clique matrix of its derived graph and the
+residue is solved exactly as interval vertex deletion. Row deletion keeps that
 correspondence, so the leaf search tests its live rows for consecutive ones
 instead of testing the graph for intervality.
 """
@@ -37,7 +39,8 @@ from typing import Callable, Iterable
 # ``interval_deletion`` and ``set_system`` stay here for the benchmark's
 # tracer, which wraps them in ``cosr.solver`` by name. The leaf reads
 # ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it.
-from .graphs import Graph, _helly_scan, _incidence, _scan_column_pairs, derived_graph, find_c4, pair_subgraph
+from .graphs import Graph, _containers, _helly_scan, _incidence, _scan_column_pairs, derived_graph, find_c4
+from .graphs import pair_subgraph
 from .graphs import find_helly_violation, find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
 from .cop import _cop_positions, cop_order  # noqa: F401
@@ -133,14 +136,15 @@ def _solve(
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
         # step 0 could only say None.
         root = live == full
-        hit = None if root else _helly_scan(M.rows, meets, live & -(1 << helly_start))
+        hit = None if root else _helly_scan(M.rows, meets, sup, live & -(1 << helly_start))
         if hit is None:
             positions = _cop_positions(_kept(M.rows, full ^ live), M.n)
             if positions is not None:
                 return full ^ live, positions
             if root:
                 cols, meets = _incidence(M.rows, M.n)
-                hit = _helly_scan(M.rows, meets, live)
+                sup = _containers(cols, M.m)
+                hit = _helly_scan(M.rows, meets, sup, live)
 
         branch_rows: Iterable[int] | None = None
         # A child's triples are its parent's that avoid the deleted row, and

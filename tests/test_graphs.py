@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,7 +23,8 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _helly_scan, _incidence, _scan_column_pairs
+from cosr.graphs import _containers, _helly_scan, _incidence, _scan_column_pairs
+from cosr.matrix import _bits
 from cosr.oracle import brute_maximal_cliques, random_instance
 from cosr.solver import _find_rule2_cycle, _rule2_c4
 
@@ -135,7 +136,8 @@ def _live(M, drop=()):
 
 def _helly_at(M, live):
     """``_helly_scan`` on the ``live`` rows of M, as labels and kind."""
-    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[1], live)
+    cols, meets = _incidence(M.rows, M.n)
+    hit = _helly_scan(M.rows, meets, _containers(cols, M.m), live)
     return None if hit is None else (tuple(M.row_ids[p] for p in hit[0]), hit[1])
 
 
@@ -209,6 +211,94 @@ def test_helly_clean_matrices_have_clean_children():
             assert _helly_by_sets(delete_rows(M, {row})) is None
             assert _helly_at(M, _live(M, {row}) >> M.m << M.m) is None
     assert clean > 50
+
+
+def _violates(a, b, c):
+    """True iff pairwise-meeting rows a, b, c form an H1 or H2 triple."""
+    return not a & b & c or bool(a & ~(b | c) and b & ~(a | c) and c & ~(a | b))
+
+
+def _helly_scan_by_triples(rows, meets, live):
+    """The scan over every meeting pair's third rows that the nested-pair
+    skips replaced."""
+    for i in _bits(live):
+        a = rows[i]
+        later = meets[i] & live & ~((2 << i) - 1)
+        for j in _bits(later):
+            b = rows[j]
+            for k in _bits(later & meets[j] & ~((2 << j) - 1)):
+                c = rows[k]
+                if _violates(a, b, c):
+                    return (i, j, k), "H2" if a & b & c else "H1"
+    return None
+
+
+def _planted_family(rng, n, copies, extra, noise):
+    """Rows of a planted-style family in shuffled row order: every link of a
+    hidden column order ``copies`` times, ``extra`` short runs, which nest
+    in one another and hold links, and ``noise`` rows that skip one or two
+    interior positions of a run."""
+    order = rng.sample(range(n), n)
+
+    def on(positions):
+        return sum(1 << order[p] for p in positions)
+
+    rows = [on((p, p + 1)) for p in range(n - 1) for _ in range(copies)]
+    for _ in range(extra):
+        first = rng.randrange(n - 1)
+        rows.append(on(range(first, min(n, first + rng.randint(1, 6)))))
+    for _ in range(noise):
+        first = rng.randrange(n - 4)
+        last = min(n - 1, first + rng.randint(3, 12))
+        gaps = set(rng.sample(range(first + 1, last), rng.randint(1, min(2, last - first - 1))))
+        rows.append(on(p for p in range(first, last + 1) if p not in gaps))
+    rng.shuffle(rows)
+    return BinaryMatrix(tuple(range(1, len(rows) + 1)), tuple(range(1, n + 1)), tuple(rows))
+
+
+def test_nested_pair_skips_match_the_triple_scan_at_planted_scale():
+    # Follow the rule-1 branch tree two levels below the root, with the
+    # solver's resume starts: 0 at the root, the position of the parent's
+    # first hit row below it.
+    rng = random.Random(64)
+    kinds = {None: 0, "H1": 0, "H2": 0}
+    sizes = []
+    for t in range(24):
+        M = _planted_family(rng, 30 + 5 * t, 2 + t % 2, 30 + 5 * t, 1 + t % 4)
+        sizes.append(M.m)
+        cols, meets = _incidence(M.rows, M.n)
+        sup = _containers(cols, M.m)
+        if t < 4:  # ``sup`` by its definition
+            assert sup == [sum(1 << s for s, y in enumerate(M.rows) if not x & ~y) for x in M.rows]
+        frontier = [((1 << M.m) - 1, 0)]
+        for _ in range(3):
+            deeper = []
+            for live, start in frontier:
+                want = _helly_scan_by_triples(M.rows, meets, live >> start << start)
+                assert _helly_scan(M.rows, meets, sup, live >> start << start) == want, (t, live, start)
+                kinds[None if want is None else want[1]] += 1
+                if want is not None:
+                    deeper += [(live & ~(1 << p), want[0][0]) for p in want[0]]
+            frontier = deeper
+    assert min(kinds.values()) > 20, kinds
+    assert min(sizes) < 100 and max(sizes) > 500, sizes
+
+
+def test_a_triple_with_a_nested_pair_is_clean():
+    # The lemma behind ``_helly_scan``'s nested-pair skips.
+    rng = random.Random(65)
+    checked = 0
+    for _ in range(20000):
+        n = rng.randint(1, 10)
+        inner = rng.getrandbits(n)
+        outer = inner | rng.getrandbits(n)
+        third = rng.getrandbits(n)
+        if not (inner and third & inner):
+            continue
+        for a, b, c in set(permutations((inner, outer, third))):
+            assert not _violates(a, b, c), (a, b, c)
+        checked += 1
+    assert checked > 10000
 
 
 def test_pair_subgraph_examples():

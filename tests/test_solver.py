@@ -436,7 +436,7 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
         assert events[0][2] is M.rows
         for (name, args, hit), (_, then, _) in zip(events[2:], events[3:]):
             if name == "h" and not hit:  # step 0 on this node's rows, which hold the scanned ones
-                assert not then[1] & args[2]
+                assert not then[1] & args[-1]
         hits += steps.count("H")
     assert hits > 100
 
