@@ -244,7 +244,12 @@ def _clique_masks(adj: list[int], peo: list[int]) -> list[int]:
     for v in reversed(peo):
         candidates.add(adj[v] & later | 1 << v)
         later |= 1 << v
-    return [c for c in candidates if not any(c != o and c & o == c for o in candidates)]
+    return _maximal(candidates)
+
+
+def _maximal(masks: set[int]) -> list[int]:
+    """The inclusion-maximal masks among ``masks``."""
+    return [c for c in masks if not any(c != o and c & o == c for o in masks)]
 
 
 def is_chordal(G: Graph) -> tuple[int, ...] | None:
@@ -277,10 +282,11 @@ def is_simplicial(G: Graph, v: int) -> bool:
 
 def _scan_column_pairs(
     M: BinaryMatrix, cols: list[int], meets: list[int], live: int
-) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
-    """Rules 2 and 3 in one pass over the ``live`` rows of M, given
+) -> tuple[tuple[int, int] | None, set[int] | None]:
+    """Rules 2 and 3's scan in one pass over the ``live`` rows of M, given
     ``_incidence(M.rows, M.n)``: the labels of the first column pair whose
-    subgraph is not chordal, else None and ``find_uncovered_clique``'s answer."""
+    subgraph is not chordal and None, or None and the pair subgraphs'
+    cliques that no live row extends, which ``_uncovered_core`` picks from."""
     # ``meets`` serves as the adjacency: the search, the PEO check and the
     # clique listing read only ``meets[v] & live`` or ``meets[v] & later``
     # with ``later`` inside ``live`` and never holding v, so each pass sees
@@ -298,6 +304,19 @@ def _scan_column_pairs(
                     common &= meets[v]
                 if not common:  # no live row extends the clique
                     candidates.add(clique)
+    return None, candidates
+
+
+def _inherited_cliques(cliques: Iterable[int], live: int) -> list[int]:
+    """The maximal nonempty sets among the ``cliques`` cut down to ``live``."""
+    return _maximal({clique & live for clique in cliques} - {0})
+
+
+def _uncovered_core(
+    M: BinaryMatrix, cols: list[int], candidates: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Rule 3's pick among the candidate cliques of ``_scan_column_pairs``:
+    ``find_uncovered_clique``'s answer, as labels of M."""
 
     def covered(group: int) -> bool:
         return any(not group & ~vs for vs in cols)
@@ -312,8 +331,8 @@ def _scan_column_pairs(
             if not covered(minimal & ~(1 << v)):
                 minimal &= ~(1 << v)
         assert minimal.bit_count() >= 3, "two clique members always share a column"
-        return None, (frozenset(ids[v] for v in _bits(clique)), frozenset(ids[v] for v in _bits(minimal)))
-    return None, None
+        return frozenset(ids[v] for v in _bits(clique)), frozenset(ids[v] for v in _bits(minimal))
+    return None
 
 
 def find_uncovered_clique(
@@ -333,10 +352,11 @@ def find_uncovered_clique(
     are deliberately not treated as uncovered cliques; they cannot affect
     whether the matrix can reach the consecutive ones property.
     """
-    pair, uncovered = _scan_column_pairs(M, *_incidence(M.rows, M.n), (1 << M.m) - 1)
+    cols, meets = _incidence(M.rows, M.n)
+    pair, candidates = _scan_column_pairs(M, cols, meets, (1 << M.m) - 1)
     if pair is not None:
         raise ContractError(f"pair subgraph of columns {pair[0]}, {pair[1]} is not chordal")
-    return uncovered
+    return _uncovered_core(M, cols, candidates)
 
 
 def parse_graph(text: str) -> Graph:

@@ -15,6 +15,9 @@ consecutive-ones test of its leaf matrix; MCS then only picks the witness,
 until a node is chordal: its descendants are too, and skip it; the graph
 test's own verdict says which nodes are. Failed nodes are remembered with
 their subtree sizes, so a deletion set reached again is not searched again.
+The search may start from a subset of the vertices and take its memo from
+the caller: the d-COS-R solver searches one graph per solve and identity
+shift from each leaf's live mask, with one memo per graph.
 """
 
 from __future__ import annotations
@@ -178,14 +181,15 @@ def _branch(
     adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest,
     failed: dict[int, int], chordal: bool = False,
 ) -> int | None:
-    # Lemma: within one _interval_deletion call, adj, forbidden, limit and
-    # the interval test are fixed, and each branch edge removes one vertex
-    # and one unit of budget, so d is a function of live. ``chordal`` only
-    # decides whether MCS runs: a chordal node's MCS order passes _is_peo,
-    # so it takes the asteroidal branch with the same witness either way.
-    # So a live that failed once fails again after the same number of nodes,
-    # which ``failed`` holds; if they pass ``limit``, so does the search
-    # without the memo, inside that subtree.
+    # Lemma: for one ``failed`` memo, adj, forbidden and the interval test
+    # are fixed, and each branch edge removes one vertex and one unit of
+    # budget, so d is a function of live (the caller that shares a memo
+    # between calls keeps this so). ``chordal`` only decides whether MCS
+    # runs: a chordal node's MCS order passes _is_peo, so it takes the
+    # asteroidal branch with the same witness either way. So a live that
+    # failed once fails again after the same number of nodes, which
+    # ``failed`` holds; if they pass ``limit``, so does the search without
+    # the memo, inside that subtree.
     start = counter[0]
     counter[0] += failed.get(live, 1)
     if counter[0] > limit:
@@ -220,7 +224,7 @@ def _branch(
 
 def _subset_search(live: int, d: int, forbidden: int, interval: _IntervalTest) -> int | None:
     allowed = list(_bits(live & ~forbidden))
-    for k in range(d + 1):
+    for k in range(min(d, len(allowed)) + 1):
         for combo in combinations(allowed, k):
             drop = sum(1 << v for v in combo)
             if interval(live & ~drop):
@@ -250,21 +254,27 @@ def interval_deletion(
 
 
 def _interval_deletion(
-    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest | None = None
+    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest | None = None,
+    everything: int | None = None, failed: dict[int, int] | None = None,
 ) -> tuple[frozenset[int] | None, int, bool]:
-    """``interval_deletion`` plus the number of branch nodes the search
-    without the memo would run and whether it fell back to the exhaustive
-    subset search. ``interval`` is a stand-in for the graph test that
-    agrees with it on every deletion set outside ``forbidden``; without
-    one, the graph test runs and its verdicts tell which nodes are chordal."""
+    """``interval_deletion`` on the subgraph of G induced on the positions
+    in ``everything`` (all of G by default), plus the number of branch nodes
+    the search without the memo would run and whether it fell back to the
+    exhaustive subset search. ``interval`` is a stand-in for the graph test
+    that agrees with it on every deletion set outside ``forbidden``; without
+    one, the graph test runs and its verdicts tell which nodes are chordal.
+    ``failed`` is the memo of failed nodes, fresh by default; a caller may
+    share one memo between calls that agree on G, ``forbidden`` and
+    ``interval`` and on the budget each live mask gets."""
     if d < 0:
         return None, 0, False
-    everything, banned = (1 << G.n) - 1, _mask(G, forbidden)
-    counter = [0]
+    everything = (1 << G.n) - 1 if everything is None else everything
+    banned, counter = _mask(G, forbidden), [0]
     chordal = interval is None
     interval = interval or _graph_test(G)
     try:
-        solution = _branch(G._adj, everything, d, banned, counter, node_limit, interval, {}, chordal)
+        solution = _branch(G._adj, everything, d, banned, counter, node_limit, interval,
+                           {} if failed is None else failed, chordal)
         fell_back = False
     except _NodeBudgetExceeded:
         solution = _subset_search(everything, d, banned, interval)

@@ -21,25 +21,31 @@ mask of live row positions over one row incidence built per solve: rules
 1-3 scan that incidence through the mask, rule 1 reading each meeting
 pair's candidate third rows as one row mask and one pass over the column
 pairs deciding rules 2 and 3, and step 0 tests the kept row masks for
-consecutive ones. Each rule deletes one row per child and lowers the
-budget, so the branch tree has at most 4^d internal splits. When no rule
-applies, the node builds its matrix, the only node that does; the identity
-augmentation turns it into the clique matrix of its derived graph and the
-residue is solved exactly as interval vertex deletion. Row deletion keeps that
+consecutive ones. The children of a rule-3 node skip that pass: they
+inherit its maximal cliques, less the deleted row. Each rule deletes one row
+per child and lowers the budget, so the branch tree has at most 4^d
+internal splits. When no rule applies, the identity augmentation turns the
+node's rows into the clique matrix of its derived graph and the residue is
+solved exactly as interval vertex deletion. Row deletion keeps that
 correspondence, so the leaf search tests its live rows for consecutive ones
-instead of testing the graph for intervality.
+instead of testing the graph for intervality. A solve builds one augmented
+graph for its leaves (two, when some keep a row labelled -n..-1 and some do
+not), each leaf searching it from its own live mask, and the leaves on one
+graph share one memo of failed deletion sets; a leaf builds its matrix only
+for the ``on_leaf`` hook.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 # ``cop_order``, ``find_helly_violation``, ``find_uncovered_clique``,
 # ``interval_deletion`` and ``set_system`` stay here for the benchmark's
 # tracer, which wraps them in ``cosr.solver`` by name. The leaf reads
 # ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it.
-from .graphs import Graph, _containers, _helly_scan, _incidence, _scan_column_pairs, derived_graph, find_c4
+from .graphs import Graph, _containers, _helly_scan, _incidence, _inherited_cliques, _scan_column_pairs
+from .graphs import _uncovered_core, derived_graph, find_c4
 from .graphs import pair_subgraph
 from .graphs import find_helly_violation, find_uncovered_clique  # noqa: F401
 from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
@@ -108,6 +114,34 @@ def _kept(rows: tuple[int, ...], dead: int) -> tuple[int, ...]:
     return rows
 
 
+# Below this many rows the root leaves ``sup`` at 0, which skips no triple
+# in the Helly scan; skipped triples are clean, so the first hit is the same.
+# Timed per solve over the ``_containers`` build and every rule-1 scan
+# (best of 15, 2 vCPU Xeon, CPython 3.11.7): on the 3-8-row corpus matrices
+# ``sup`` cost 0.3-1.2 us, on random 10-row ones 1.7 us; from 12 rows it
+# saved 6-17 us on random matrices, and 4-120 us on planted families of
+# 8-127 rows.
+_CONTAINERS_FROM = 10
+
+_LeafGraph = tuple[Graph, frozenset[int], int, list[int], list[int], dict[int, int]]
+
+
+def _leaf_graph(M: BinaryMatrix, shifted: bool) -> _LeafGraph:
+    """The derived graph of ``augment(M)``, or if not ``shifted`` of the
+    augmentation of M without its rows labelled -n..-1; its identity labels,
+    and their positions as a mask; the graph bit of each row of M, 0 for a
+    row left out; the row masks by graph position, 0 for identity rows; and
+    an empty memo of failed nodes."""
+    drop = [] if shifted else [r for r in M.row_ids if -M.n <= r < 0]
+    base = delete_rows(M, drop) if drop else M
+    aug = augment(base)
+    graph = derived_graph(aug)
+    rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
+    place = [1 << graph._index[r] if r in base.row_index else 0 for r in M.row_ids]
+    identity = sum(1 << graph._index[v] for v in aug.identity_rows)
+    return graph, aug.identity_rows, identity, place, rows, {}
+
+
 def _solve(
     M: BinaryMatrix,
     d: int,
@@ -123,9 +157,10 @@ def _solve(
     # ties by label, so it sees and answers exactly what it would on M with
     # the other rows deleted, in the same order.
     full = (1 << M.m) - 1
-    stack: list[tuple[int, int, int]] = [(full, d, 0)]
+    stack: list[tuple[int, int, int, Collection[int] | None]] = [(full, d, 0, None)]
+    leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:
-        live, budget, helly_start = stack.pop()
+        live, budget, helly_start, cliques = stack.pop()
         # Step 1: budget exhausted.
         if budget < 0:
             continue
@@ -143,10 +178,11 @@ def _solve(
                 return full ^ live, positions
             if root:
                 cols, meets = _incidence(M.rows, M.n)
-                sup = _containers(cols, M.m)
+                sup = _containers(cols, M.m) if M.m >= _CONTAINERS_FROM else [0] * M.m
                 hit = _helly_scan(M.rows, meets, sup, live)
 
         branch_rows: Iterable[int] | None = None
+        inherited = None
         # A child's triples are its parent's that avoid the deleted row, and
         # a triple's verdict depends on its three rows alone. So below a
         # rule-1 node whose first hit is (i, j, k), the child's scan may
@@ -161,12 +197,25 @@ def _solve(
             # columns' rows are cliques covering it, and a hole meets a
             # clique in at most two vertices. So one pass decides rules 2 and
             # 3, and it stops at the first pair on which ``find_c4`` hits.
-            pair, uncovered = _scan_column_pairs(M, cols, meets, live)
+            if cliques is None:
+                pair, cliques = _scan_column_pairs(M, cols, meets, live)
+            else:
+                # A rule-3 child is its parent G minus one row r. Its triples
+                # and pair subgraphs are induced ones of G's, so rule 1 stays
+                # clean and the pair subgraphs stay chordal. With rules 1 and
+                # 2 clean, G's scan listed every maximal clique Q of G (see
+                # ``find_uncovered_clique``), and the maximal cliques of G - r
+                # are the maximal nonempty sets among {Q - r}: a maximal
+                # clique K of G - r lies in some Q, so K = Q - r, and a clique
+                # past a maximal Q - r lies in some Q' - r past it. So these
+                # are the cliques the child's scan would list.
+                pair, cliques = None, _inherited_cliques(cliques, live)
             if pair is not None:
                 stats.rule2 += 1
                 branch_rows = _rule2_c4(M, pair, full ^ live)
-            elif uncovered is not None:
+            elif (uncovered := _uncovered_core(M, cols, cliques)) is not None:
                 stats.rule3 += 1
+                inherited = cliques
                 _, core = uncovered
                 # Three core rows suffice even when the core has k > 3.
                 # Minimality gives each core row S_i a column c_i lying in
@@ -182,7 +231,7 @@ def _solve(
         if branch_rows is not None:
             # Popped in ascending row order, each subtree before the next.
             for row in sorted(branch_rows, reverse=True):
-                stack.append((live & ~(1 << M.row_index[row]), budget - 1, child_start))
+                stack.append((live & ~(1 << M.row_index[row]), budget - 1, child_start, inherited))
             continue
 
         # Step 5: no rule applies; the augmented matrix is the clique matrix
@@ -192,30 +241,43 @@ def _solve(
         # the matrix side feasible, and restricting loses no exactness
         # because the three-rule-clean state survives original-row deletion.
         stats.leaves += 1
-        matrix = delete_rows(M, [M.row_ids[p] for p in _bits(full ^ live)])
         if on_leaf is not None:
-            on_leaf(matrix, budget)
-        aug = augment(matrix)
-        graph = derived_graph(aug)
-        # Lemma: for a set S of original rows, G - S is interval iff
-        # delete_rows(matrix, S) has COP, with G the derived graph of aug.
+            on_leaf(delete_rows(M, [M.row_ids[p] for p in _bits(full ^ live)]), budget)
+        # ``augment`` shifts a leaf's identity labels below its own rows iff
+        # it keeps a row labelled -n..-1. Either way, in label order its
+        # identity rows sit among its rows as they do in the graph of this
+        # flag, so the leaf's derived graph is that graph induced on
+        # ``start``, positions in the same order, and the search reads the
+        # graph only through its live mask.
+        shifted = any(-M.n <= M.row_ids[p] < 0 for p in _bits(live))
+        if shifted not in leaf_graphs:
+            leaf_graphs[shifted] = _leaf_graph(M, shifted)
+        graph, identity, start, place, rows, failed = leaf_graphs[shifted]
+        for p in _bits(live):
+            start |= place[p]
+        # Lemma: for a leaf matrix L and a set S of its original rows, G - S
+        # is interval iff delete_rows(L, S) has COP, with G the derived graph
+        # of aug = augment(L).
         # (<=) COP rows are intervals of one column order.
         # (=>) Up to all-zero rows, isolated vertices that change neither
         #   side, aug is the clique matrix of G. Each column's identity
         #   vertex keeps that column minus S a maximal clique of G - S, so
         #   aug - S is the clique matrix of G - S and Fulkerson-Gross
         #   applies. Identity rows hold one 1, so the test leaves them out.
-        rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
+        # Memo key: on one flag's graph, equal live masks mean equal rows,
+        # equal budget (d minus the rows deleted), equal forbidden set, equal
+        # interval test and equal label order, so every leaf of this solve
+        # on that graph may share one memo of failed nodes.
         removed, nodes, fell_back = _interval_deletion(
-            graph, budget, _LEAF_NODE_LIMIT, aug.identity_rows,
-            lambda live: _cop_positions([rows[p] for p in _bits(live)], M.n) is not None)
+            graph, budget, _LEAF_NODE_LIMIT, identity,
+            lambda live: _cop_positions([rows[p] for p in _bits(live)], M.n) is not None, start, failed)
         stats.leaf_nodes += nodes
         stats.leaf_fallbacks += fell_back
         # Step 6: derived-graph vertices carry the row labels, so ``removed``
         # already names rows of M. By the lemma the survivor has COP; its
         # kept rows are tested in storage order, as step 0 tests a node's.
         if removed is not None:
-            assert not removed & aug.identity_rows
+            assert not removed & identity
             dead = (full ^ live) | sum(1 << M.row_index[r] for r in removed)
             positions = _cop_positions(_kept(M.rows, dead), M.n)
             assert positions is not None

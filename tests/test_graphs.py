@@ -23,7 +23,7 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _containers, _helly_scan, _incidence, _scan_column_pairs
+from cosr.graphs import _containers, _helly_scan, _incidence, _scan_column_pairs, _uncovered_core
 from cosr.matrix import _bits
 from cosr.oracle import brute_maximal_cliques, random_instance
 from cosr.solver import _find_rule2_cycle, _rule2_c4
@@ -512,11 +512,13 @@ def _pass_against_the_two_scans(M, drop):
         filter(None, (find_c4(pair_subgraph(sub, a, b)) for a, b in combinations(sub.col_ids, 2))), None
     )
     assert _find_rule2_cycle(sub) == cycle, (M, drop)
-    pair, uncovered = _scan_column_pairs(M, *_incidence(M.rows, M.n), _live(M, drop))
+    cols, meets = _incidence(M.rows, M.n)
+    pair, candidates = _scan_column_pairs(M, cols, meets, _live(M, drop))
+    uncovered = None if pair is not None else _uncovered_core(M, cols, candidates)
     if cycle is None:
         assert pair is None and uncovered == _uncovered_clique_by_labels(sub), (M, drop)
     else:
-        assert find_c4(pair_subgraph(sub, *pair)) == cycle and uncovered is None, (M, drop)
+        assert find_c4(pair_subgraph(sub, *pair)) == cycle and candidates is None, (M, drop)
         # the solver's rule-2 cycle, read through the live mask of M
         assert _rule2_c4(M, pair, _live(M, drop) ^ ((1 << M.m) - 1)) == cycle, (M, drop)
     return "rule2" if cycle else "rule3" if uncovered else "neither"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -154,6 +155,17 @@ def test_subset_fallback_matches_branching():
             assert (a is None) == (b is None)
             if a is not None:
                 assert is_interval(g.without(b)) and len(b) <= d
+
+
+def test_subset_search_sizes_stop_at_the_allowed_vertices():
+    # The exhaustive search tries deletion sets no larger than the allowed
+    # vertices, whatever the budget: a budget of 10**9 once looped over every
+    # size up to it before giving up.
+    g = cycle(4)
+    start = time.perf_counter()
+    assert interval_deletion(g, 10**9, node_limit=0, forbidden=frozenset(g.vertices)) is None
+    assert interval_deletion(g, 10**9, node_limit=0, forbidden=frozenset({1, 2, 3})) == {4}
+    assert time.perf_counter() - start < 1
 
 
 def test_minimalize_solution_examples():

@@ -21,7 +21,9 @@ from cosr import (
     support,
     verify_cop,
 )
-from cosr.interval import _chordal_interval
+from cosr.cop import _cop_positions
+from cosr.interval import _chordal_interval, _interval_deletion
+from cosr.matrix import _bits
 from cosr.solver import SolveStats, _find_rule2_cycle
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
 
@@ -467,13 +469,14 @@ def test_one_derived_graph_per_node(monkeypatch):
     # A solve builds one incidence, once the root's step 0 fails. Rules 1-3
     # and step 0 read it and M's rows through the node's live mask, so
     # derived graphs are built only for a rule-2 hit's pair subgraph, of M,
-    # and a leaf's augmentation, and a matrix only at a leaf.
+    # and once per solve for its leaves: with positive labels every leaf
+    # shares one augmentation of M. No leaf builds a matrix.
     import cosr.graphs
     import cosr.solver
 
     events = []
     for module, name in [(cosr.solver, "_incidence"), (cosr.solver, "_cop_positions"), (cosr.solver, "delete_rows"),
-                         (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph")]:
+                         (cosr.solver, "augment"), (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph")]:
         monkeypatch.setattr(module, name, _recording(events, name, getattr(module, name)))
     hits = {"rule1": 0, "rule2": 0, "rule3": 0, "leaves": 0}
     for i in range(168):
@@ -485,10 +488,11 @@ def test_one_derived_graph_per_node(monkeypatch):
                 names = [name for name, _, _ in events]
                 root_fails = names[0] == "_cop_positions" and events[0][2] is None
                 assert names.count("_incidence") == root_fails, (i, k, d)
-                assert names.count("derived_graph") == stats.rule2 + stats.leaves, (i, k, d)
-                assert names.count("delete_rows") == stats.leaves, (i, k, d)
+                assert names.count("augment") == (stats.leaves > 0), (i, k, d)
+                assert names.count("derived_graph") == stats.rule2 + (stats.leaves > 0), (i, k, d)
+                assert "delete_rows" not in names, (i, k, d)
                 for name, then in zip(names, names[1:] + [None]):
-                    if name == "delete_rows":  # the leaf's matrix goes straight to its derived graph
+                    if name == "augment":  # the augmentation goes straight to its derived graph
                         assert then == "derived_graph", (i, k, d)
                 for key in hits:
                     hits[key] += getattr(stats, key)
@@ -496,24 +500,24 @@ def test_one_derived_graph_per_node(monkeypatch):
 
 
 def _recording_leaf(monkeypatch, check):
-    """Make the solver's leaf hand its graph, budget, forbidden rows and
-    interval test to ``check`` before each search."""
+    """Make the solver's leaf hand its graph, budget, forbidden rows,
+    interval test and live mask to ``check`` before each search."""
     import cosr.solver
 
     inner = cosr.solver._interval_deletion
 
-    def recording(graph, budget, limit, forbidden, interval):
-        check(graph, budget, forbidden, interval)
-        return inner(graph, budget, limit, forbidden, interval)
+    def recording(graph, budget, limit, forbidden, interval, live, failed):
+        check(graph, budget, forbidden, interval, live)
+        return inner(graph, budget, limit, forbidden, interval, live, failed)
 
     monkeypatch.setattr(cosr.solver, "_interval_deletion", recording)
 
 
-def _check_leaf_test(graph, forbidden, interval, most):
+def _check_leaf_test(graph, forbidden, interval, most, everything):
     """The leaf's matrix test against the graph test on every set S of at
-    most ``most`` original rows; returns the verdicts seen."""
-    everything = (1 << graph.n) - 1
-    original = [p for p, v in enumerate(graph.vertices) if v not in forbidden]
+    most ``most`` original rows live in ``everything``; returns the verdicts
+    seen."""
+    original = [p for p in _bits(everything) if graph.vertices[p] not in forbidden]
     verdicts = set()
     for k in range(min(most, len(original)) + 1):
         for S in combinations(original, k):
@@ -531,13 +535,14 @@ def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
     # for every S within the leaf's budget.
     leaves, checked, verdicts = [], set(), set()
 
-    def check(graph, budget, forbidden, interval):
+    def check(graph, budget, forbidden, interval, live):
         mat, b = leaves[-1]  # on_leaf runs just before the search
         assert b == budget and forbidden == augment(mat).identity_rows
+        assert graph.subgraph(graph.labels(live)) == derived_graph(augment(mat))
         key = (mat.row_ids, mat.rows, mat.n, b)
         if key not in checked:
             checked.add(key)
-            verdicts.update(_check_leaf_test(graph, forbidden, interval, b))
+            verdicts.update(_check_leaf_test(graph, forbidden, interval, b, live))
 
     _recording_leaf(monkeypatch, check)
     for i in range(168):
@@ -559,9 +564,9 @@ def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
         cos_r(M, 2, on_leaf=lambda mat, b: leaves.setdefault((mat.rows, mat.n), mat))
     searches, verdicts = [], set()
 
-    def check(graph, budget, forbidden, interval):
+    def check(graph, budget, forbidden, interval, live):
         searches.append(graph)
-        verdicts.update(_check_leaf_test(graph, forbidden, interval, 3))
+        verdicts.update(_check_leaf_test(graph, forbidden, interval, 3, live))
 
     _recording_leaf(monkeypatch, check)
     for L in leaves.values():
@@ -615,17 +620,19 @@ def test_core_leaves_run_mcs_once(monkeypatch):
 
 
 def test_core_leaves_test_each_deletion_set_once(monkeypatch):
-    # The leaf search reaches one deletion set by many orders and remembers
-    # each node whose subtree failed, so it asks 800 interval tests, one per
-    # live mask it reaches, where the search without the memo asked one per
-    # node, 3,302. _minimalize asks 50 more, 30 of them on masks the search
-    # never reached. leaf_nodes still counts the memo-free search's nodes.
+    # The leaf search reaches one deletion set by many orders, and the
+    # leaves of one solve share one memo of the nodes whose subtree failed,
+    # so they ask 520 interval tests, one per live mask the solve reaches,
+    # where one memo per leaf asked 800 and the search without the memo one
+    # per node, 3,302. _minimalize asks 50 more, 30 of them on masks the
+    # search never reached. leaf_nodes still counts the memo-free search's
+    # nodes.
     import cosr.solver
 
     inner = cosr.solver._interval_deletion
     tests, masks = [0], [0]
 
-    def counting(graph, budget, limit, forbidden, interval):
+    def counting(graph, budget, limit, forbidden, interval, live, failed):
         seen = set()
 
         def test(live):
@@ -633,13 +640,13 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
             seen.add(live)
             return interval(live)
 
-        result = inner(graph, budget, limit, forbidden, test)
+        result = inner(graph, budget, limit, forbidden, test, live, failed)
         masks[0] += len(seen)
         return result
 
     monkeypatch.setattr(cosr.solver, "_interval_deletion", counting)
     nodes = sum(cos_r(M, d).stats.leaf_nodes for M, d in _core_solves())
-    assert (tests[0], masks[0], nodes) == (850, 830, 3302)
+    assert (tests[0], masks[0], nodes) == (570, 550, 3302)
 
 
 def test_subset_search_leaves_give_the_same_answers(monkeypatch):
@@ -722,6 +729,55 @@ def test_shifted_identity_labels_answers_are_byte_identical():
         leaves += report.stats.leaves
     assert leaves > 200, leaves
     assert answers.hexdigest()[:16] == "cd5467a6b27aed22"
+
+
+def _per_leaf_search(mat, budget, limit):
+    """The leaf search as one leaf alone runs it: the derived graph of its
+    own augmentation, the consecutive-ones test of its rows, a fresh memo."""
+    aug = augment(mat)
+    graph = derived_graph(aug)
+    rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
+    return _interval_deletion(graph, budget, limit, aug.identity_rows,
+                              lambda live: _cop_positions([rows[p] for p in _bits(live)], mat.n) is not None)
+
+
+def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
+    # ``augment`` shifts a leaf's identity labels below its rows iff the leaf
+    # keeps a row labelled -n..-1, so a solve searches one graph per flag.
+    # Rule 3 on the core below (n = 5) branches on its lowest labels -9, -2
+    # and 1: the first leaf keeps -2 but not -9, so its identity labels sit
+    # above the solve's; the second has deleted -2, so its flag is clear;
+    # the third keeps both. Every leaf, of this core, of a matrix on which
+    # the two graphs share live masks, and of the shifted-label solves, must
+    # search as it does alone.
+    import cosr.solver
+
+    inner = cosr.solver._interval_deletion
+    leaves, flags, moved = [], set(), [0]
+
+    def compare(graph, budget, limit, forbidden, interval, live, failed):
+        got = inner(graph, budget, limit, forbidden, interval, live, failed)
+        mat, b = leaves[-1]  # on_leaf runs just before the search
+        assert got == _per_leaf_search(mat, b, limit), mat
+        flags.add(any(-mat.n <= r < 0 for r in mat.row_ids))
+        moved[0] += forbidden != augment(mat).identity_rows
+        return got
+
+    def on_leaf(mat, b):
+        leaves.append((mat, b))
+
+    monkeypatch.setattr(cosr.solver, "_interval_deletion", compare)
+    core = BinaryMatrix((-9, -2, 1, 2, 3), tuple(range(1, 6)), tuple(31 ^ 1 << j for j in range(5)))
+    report = cos_r(core, 2, on_leaf)
+    assert not report.feasible and report.stats.rule3 == 1 and len(leaves) == 3
+    assert [sorted(mat.row_ids)[:2] for mat, _ in leaves] == [[-2, 1], [-9, 1], [-9, -2]]
+    assert flags == {True, False} and moved[0] == 1
+    # One memo for both flags' graphs would hand one of these leaves a node
+    # that failed on the other graph under the same mask.
+    cos_r(BinaryMatrix((-10, -3, -7, 2, -4, 11), tuple(range(1, 6)), (7, 14, 7, 11, 14, 13)), 2, on_leaf)
+    for M, d in list(_relabelled_solves(shifted=True))[:400]:
+        cos_r(M, d, on_leaf)
+    assert len(leaves) > 300 and moved[0] > 100, (len(leaves), moved)
 
 
 def test_a_wrong_block_order_fails_the_one_certificate_check(monkeypatch):

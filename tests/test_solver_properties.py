@@ -3,16 +3,18 @@ complement-of-identity cores, rule-2 cycles and convex bipartite graphs,
 each with noise rows and with all-zero rows and columns mixed in: the
 verdicts and the optimum ignore row and column order, a duplicated row
 never lowers the optimum, every YES certificate verifies, and the answer
-is the brute-force one. Matrices stay at oracle sizes: m <= 10, n <= 12,
-d <= 3."""
+is the brute-force one, and a rule-3 child's inherited cliques are the
+ones its own pair scan lists. Matrices stay at oracle sizes: m <= 10,
+n <= 12, d <= 3."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cosr import BinaryMatrix, Graph, cos_r, delete_rows, half_adjacency, verify_cop  # noqa: E402
+from cosr.graphs import _incidence, _scan_column_pairs  # noqa: E402
 from cosr.oracle import brute_cosr  # noqa: E402
 
 # Derandomized and without an example database, so tier-1 stays repeatable.
@@ -78,10 +80,13 @@ def convex_bipartite(draw):
 
 
 @st.composite
-def matrices(draw):
-    """A drawn family with all-zero rows and columns inserted, under
-    distinct labels that are gapped, negative and out of storage order."""
-    n, rows = draw(st.one_of(planted(), staircase(), core(), pair_cycle(), convex_bipartite()))
+def matrices(draw, families=None):
+    """A drawn family (any of the above by default) with all-zero rows and
+    columns inserted, under distinct labels that are gapped, negative and
+    out of storage order."""
+    if families is None:
+        families = st.one_of(planted(), staircase(), core(), pair_cycle(), convex_bipartite())
+    n, rows = draw(families)
     for _ in range(draw(st.integers(0, min(2, MAX_N - n)))):
         at = draw(st.integers(0, n))
         low = (1 << at) - 1
@@ -145,3 +150,33 @@ def test_answers_match_brute_force(M):
     best = brute_cosr(M, MAX_D)
     assert verdicts == [best is not None and len(best) <= d for d in range(MAX_D + 1)]
     assert optimum == (None if best is None else len(best))
+
+
+CORE6 = BinaryMatrix(tuple(range(1, 7)), tuple(range(1, 7)), tuple(63 ^ 1 << j for j in range(6)))
+
+
+@PROPERTY
+@given(st.one_of(matrices(), matrices(core())))
+@example(CORE6)
+def test_rule3_children_inherit_the_cliques_their_scan_lists(M):
+    # Every rule-3 child's inherited cliques against a fresh pair scan of its
+    # live rows. Patched by hand: hypothesis reruns the body per example.
+    import cosr.solver
+
+    inner, checked = cosr.solver._inherited_cliques, []
+
+    def fresh(cliques, live):
+        got = inner(cliques, live)
+        pair, listed = _scan_column_pairs(M, *_incidence(M.rows, M.n), live)
+        assert pair is None and sorted(got) == sorted(listed), (M, live)
+        checked.append(live)
+        return got
+
+    cosr.solver._inherited_cliques = fresh
+    try:
+        for d in range(MAX_D + 1):
+            cos_r(M, d)
+    finally:
+        cosr.solver._inherited_cliques = inner
+    if M == CORE6:
+        assert len(checked) > 3
