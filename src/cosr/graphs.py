@@ -117,17 +117,17 @@ def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     return cols, [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
 
 
-def _containers(cols: list[int], m: int) -> list[int]:
-    """``sup[r]`` has bit s when row s holds every column of row r, given
-    ``cols`` from ``_incidence`` over m rows."""
-    sup = [-1] * m
+def _helly_candidates(cols: list[int], meets: list[int]) -> list[int]:
+    """``cand[r]`` has bit s when rows r and s meet and row s lacks some
+    column of row r, given ``_incidence``'s ``cols`` and ``meets``."""
+    sup = [-1] * len(meets)  # sup[r]: the rows holding every column of r
     for members in cols:
         rest = members
         while rest:
             low = rest & -rest
             rest ^= low
             sup[low.bit_length() - 1] &= members
-    return sup
+    return [meet & ~held for meet, held in zip(meets, sup)]
 
 
 def derived_graph(M: BinaryMatrix) -> Graph:
@@ -139,20 +139,17 @@ def derived_graph(M: BinaryMatrix) -> Graph:
     return G
 
 
-def _helly_scan(
-    rows: Sequence[int], meets: list[int], sup: list[int], live: int
-) -> tuple[tuple[int, int, int], str] | None:
+def _helly_scan(rows: Sequence[int], cand: list[int], live: int) -> tuple[tuple[int, int, int], str] | None:
     """Positions and kind of the first triple of ``live`` rows, in order of
-    position, violating H1 or H2 (H1 tested first); ``meets`` comes from
-    ``_incidence(rows, n)`` and ``sup`` from ``_containers``, and only
-    pairwise-meeting triples without a nested pair are visited."""
+    position, violating H1 or H2 (H1 tested first); ``cand`` from
+    ``_helly_candidates`` lets it visit only meeting triples with no nested pair."""
     # Lemma: a triple holding a nested pair x <= y is clean. The pair's
     # intersection is x, which meets the third row (no H1), and x has no
     # column outside y (no H2). So i skips the rows containing a, j is
     # skipped when b <= a, and the third rows skip those containing b.
     for i in _bits(live):
         a = rows[i]
-        later = meets[i] & live & ~sup[i] & -(2 << i)
+        later = cand[i] & live & -(2 << i)
         while later:
             low = later & -later
             later ^= low
@@ -160,7 +157,7 @@ def _helly_scan(
             b = rows[j]
             if not b & ~a:
                 continue
-            both = later & meets[j] & ~sup[j]  # rows after j meeting a and b, not holding b
+            both = later & cand[j]  # rows after j meeting a and b, not holding b
             while both:
                 low = both & -both
                 both ^= low
@@ -173,8 +170,7 @@ def _helly_scan(
 
 def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
     """First row triple (in matrix row order) violating H1 or H2, by ``_helly_scan``."""
-    cols, meets = _incidence(M.rows, M.n)
-    hit = _helly_scan(M.rows, meets, _containers(cols, M.m), (1 << M.m) - 1)
+    hit = _helly_scan(M.rows, _helly_candidates(*_incidence(M.rows, M.n)), (1 << M.m) - 1)
     if hit is None:
         return None
     return HellyViolation(tuple(M.row_ids[p] for p in hit[0]), hit[1])
@@ -194,15 +190,20 @@ def find_c4(G: Graph) -> tuple[int, int, int, int] | None:
     Scans non-adjacent vertex pairs in ascending label order for two
     non-adjacent common neighbors, so the first hit is deterministic.
     """
-    adj, vs = G._adj, G.vertices
-    everything = (1 << G.n) - 1
-    for a in range(G.n):
+    hit = _c4(G._adj)
+    return None if hit is None else tuple(G.vertices[v] for v in hit)
+
+
+def _c4(adj: list[int]) -> tuple[int, int, int, int] | None:
+    """``find_c4`` over the positions of ``adj``."""
+    everything = (1 << len(adj)) - 1
+    for a in range(len(adj)):
         for c in _bits(everything & ~adj[a] & ~((2 << a) - 1)):
             common = adj[a] & adj[c]
             for b in _bits(common):
                 far = common & ~adj[b] & ~((2 << b) - 1)  # the d > b not adjacent to b
                 if far:
-                    return vs[a], vs[b], vs[c], vs[(far & -far).bit_length() - 1]
+                    return a, b, c, (far & -far).bit_length() - 1
     return None
 
 
@@ -281,11 +282,11 @@ def is_simplicial(G: Graph, v: int) -> bool:
 
 
 def _scan_column_pairs(
-    M: BinaryMatrix, cols: list[int], meets: list[int], live: int
+    cols: list[int], meets: list[int], live: int
 ) -> tuple[tuple[int, int] | None, set[int] | None]:
-    """Rules 2 and 3's scan in one pass over the ``live`` rows of M, given
-    ``_incidence(M.rows, M.n)``: the labels of the first column pair whose
-    subgraph is not chordal and None, or None and the pair subgraphs'
+    """Rules 2 and 3's scan in one pass over the ``live`` rows, given
+    ``_incidence``'s ``cols`` and ``meets``: the first column pair, by position,
+    whose subgraph is not chordal and None, or None and the pair subgraphs'
     cliques that no live row extends, which ``_uncovered_core`` picks from."""
     # ``meets`` serves as the adjacency: the search, the PEO check and the
     # clique listing read only ``meets[v] & live`` or ``meets[v] & later``
@@ -293,11 +294,11 @@ def _scan_column_pairs(
     # exactly the pair subgraph induced on its live rows; chordality and
     # the set of maximal cliques do not depend on the order of positions.
     candidates: set[int] = set()
-    for i in range(M.n):
-        for j in range(i + 1, M.n):
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
             order = _mcs_order(meets, (cols[i] | cols[j]) & live)
             if not _is_peo(meets, order):
-                return (M.col_ids[i], M.col_ids[j]), None
+                return (i, j), None
             for clique in _clique_masks(meets, order):
                 common = live & ~clique
                 for v in _bits(clique):
@@ -312,17 +313,15 @@ def _inherited_cliques(cliques: Iterable[int], live: int) -> list[int]:
     return _maximal({clique & live for clique in cliques} - {0})
 
 
-def _uncovered_core(
-    M: BinaryMatrix, cols: list[int], candidates: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int]] | None:
+def _uncovered_core(ids: Sequence[int], cols: list[int], candidates: Iterable[int]) -> tuple[int, int] | None:
     """Rule 3's pick among the candidate cliques of ``_scan_column_pairs``:
-    ``find_uncovered_clique``'s answer, as labels of M."""
+    ``find_uncovered_clique``'s answer, as row positions, with ``ids`` the
+    row labels by position."""
 
     def covered(group: int) -> bool:
         return any(not group & ~vs for vs in cols)
 
     # Candidates, and members in the greedy shrink, go in label order.
-    ids = M.row_ids
     for clique in sorted(candidates, key=lambda c: sorted(ids[v] for v in _bits(c))):
         if covered(clique):
             continue
@@ -331,13 +330,11 @@ def _uncovered_core(
             if not covered(minimal & ~(1 << v)):
                 minimal &= ~(1 << v)
         assert minimal.bit_count() >= 3, "two clique members always share a column"
-        return frozenset(ids[v] for v in _bits(clique)), frozenset(ids[v] for v in _bits(minimal))
+        return clique, minimal
     return None
 
 
-def find_uncovered_clique(
-    M: BinaryMatrix,
-) -> tuple[frozenset[int], frozenset[int]] | None:
+def find_uncovered_clique(M: BinaryMatrix) -> tuple[frozenset[int], frozenset[int]] | None:
     """A maximal clique of the derived graph not realized by any column.
 
     Assumes no Helly violation and no induced 4-cycle in any column-pair
@@ -353,10 +350,12 @@ def find_uncovered_clique(
     whether the matrix can reach the consecutive ones property.
     """
     cols, meets = _incidence(M.rows, M.n)
-    pair, candidates = _scan_column_pairs(M, cols, meets, (1 << M.m) - 1)
+    pair, candidates = _scan_column_pairs(cols, meets, (1 << M.m) - 1)
     if pair is not None:
-        raise ContractError(f"pair subgraph of columns {pair[0]}, {pair[1]} is not chordal")
-    return _uncovered_core(M, cols, candidates)
+        a, b = (M.col_ids[c] for c in pair)
+        raise ContractError(f"pair subgraph of columns {a}, {b} is not chordal")
+    found = _uncovered_core(M.row_ids, cols, candidates)
+    return None if found is None else tuple(frozenset(M.row_ids[v] for v in _bits(c)) for c in found)
 
 
 def parse_graph(text: str) -> Graph:

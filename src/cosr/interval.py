@@ -15,13 +15,16 @@ consecutive-ones test of its leaf matrix; MCS then only picks the witness,
 until a node is chordal: its descendants are too, and skip it; the graph
 test's own verdict says which nodes are. Failed nodes are remembered with
 their subtree sizes, so a deletion set reached again is not searched again.
-The search may start from a subset of the vertices and take its memo from
-the caller: the d-COS-R solver searches one graph per solve and identity
-shift from each leaf's live mask, with one memo per graph.
+The search takes and returns position masks, from a start mask and with a
+memo that the caller owns: the d-COS-R solver searches one graph per solve
+and identity shift from each leaf's live mask, with one memo per graph.
+``interval_deletion`` and ``minimalize_solution`` turn labels into
+positions and back.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -33,7 +36,7 @@ from .graphs import Graph, _clique_masks, _is_peo, _mcs_order, is_chordal  # noq
 from .matrix import BinaryMatrix, _bits
 
 # Branch nodes a search may spend before it switches to the exhaustive
-# subset search.
+# subset search; every search reads it here, so a test can patch it.
 _NODE_LIMIT = 200_000
 
 _IntervalTest = Callable[[int], bool | None]  # truthy iff the subgraph on these live positions is interval
@@ -232,60 +235,48 @@ def _subset_search(live: int, d: int, forbidden: int, interval: _IntervalTest) -
     return None
 
 
-def interval_deletion(
-    G: Graph,
-    d: int,
-    node_limit: int = _NODE_LIMIT,
-    forbidden: frozenset[int] = frozenset(),
-) -> frozenset[int] | None:
+def interval_deletion(G: Graph, d: int, *, forbidden: frozenset[int] = frozenset()) -> frozenset[int] | None:
     """An inclusion-minimal set of at most ``d`` vertices whose removal
     leaves an interval graph, or None when no such set exists.
 
     Exact: None is returned only on genuinely infeasible instances. A
     negative budget is infeasible by definition. Branching explores
     witness vertices in ascending label order, so results are
-    deterministic; if the branch tree exceeds ``node_limit`` nodes the
+    deterministic; if the branch tree exceeds ``_NODE_LIMIT`` nodes the
     solver restarts as an exhaustive search over deletion subsets in
     increasing size. Vertices in ``forbidden`` are never deleted, which
     restricts the search to solutions avoiding them (None then means no
     such restricted solution exists).
     """
-    return _interval_deletion(G, d, node_limit, forbidden)[0]
+    removed, _, _ = _interval_deletion(
+        G._adj, (1 << G.n) - 1, d, _mask(G, forbidden), partial(_chordal_interval, G._adj), {}, True)
+    return None if removed is None else G.labels(removed)
 
 
 def _interval_deletion(
-    G: Graph, d: int, node_limit: int, forbidden: frozenset[int], interval: _IntervalTest | None = None,
-    everything: int | None = None, failed: dict[int, int] | None = None,
-) -> tuple[frozenset[int] | None, int, bool]:
-    """``interval_deletion`` on the subgraph of G induced on the positions
-    in ``everything`` (all of G by default), plus the number of branch nodes
-    the search without the memo would run and whether it fell back to the
-    exhaustive subset search. ``interval`` is a stand-in for the graph test
-    that agrees with it on every deletion set outside ``forbidden``; without
-    one, the graph test runs and its verdicts tell which nodes are chordal.
-    ``failed`` is the memo of failed nodes, fresh by default; a caller may
-    share one memo between calls that agree on G, ``forbidden`` and
-    ``interval`` and on the budget each live mask gets."""
+    adj: list[int], start: int, d: int, forbidden: int, interval: _IntervalTest, failed: dict[int, int],
+    chordal: bool,
+) -> tuple[int | None, int, bool]:
+    """``interval_deletion`` over positions: the deletion mask for the
+    subgraph induced on ``start``, never holding a ``forbidden`` position,
+    plus the number of branch nodes the search without the memo would run
+    and whether it fell back to the exhaustive subset search.
+    ``interval`` is the graph test, or a stand-in that agrees with it on
+    every deletion set outside ``forbidden``; ``chordal`` says its verdicts
+    are None exactly on the nodes with a hole, as the graph test's are.
+    ``failed`` is the memo of failed nodes; a caller may share one memo
+    between calls that agree on adj, ``forbidden`` and ``interval`` and on
+    the budget each live mask gets."""
     if d < 0:
         return None, 0, False
-    everything = (1 << G.n) - 1 if everything is None else everything
-    banned, counter = _mask(G, forbidden), [0]
-    chordal = interval is None
-    interval = interval or _graph_test(G)
+    counter, fell_back = [0], False
     try:
-        solution = _branch(G._adj, everything, d, banned, counter, node_limit, interval,
-                           {} if failed is None else failed, chordal)
-        fell_back = False
+        solution = _branch(adj, start, d, forbidden, counter, _NODE_LIMIT, interval, failed, chordal)
     except _NodeBudgetExceeded:
-        solution = _subset_search(everything, d, banned, interval)
-        fell_back = True
+        solution, fell_back = _subset_search(start, d, forbidden, interval), True
     if solution is not None:
-        solution = G.labels(_minimalize(everything, solution, interval))
+        solution = _minimalize(start, solution, interval)
     return solution, counter[0], fell_back
-
-
-def _graph_test(G: Graph) -> _IntervalTest:
-    return lambda live: _chordal_interval(G._adj, live)
 
 
 def _minimalize(everything: int, drop: int, interval: _IntervalTest) -> int:
@@ -306,4 +297,4 @@ def minimalize_solution(G: Graph, deleted: frozenset[int]) -> frozenset[int]:
     the smallest-labeled representative when several single vertices
     would do. Requires that ``G`` minus ``deleted`` is already interval.
     """
-    return G.labels(_minimalize((1 << G.n) - 1, _mask(G, deleted), _graph_test(G)))
+    return G.labels(_minimalize((1 << G.n) - 1, _mask(G, deleted), partial(_chordal_interval, G._adj)))

@@ -18,21 +18,22 @@ fires the first applicable of three branching rules. Below the root rule
 
 A search node is the input minus the rows deleted on its path, held as a
 mask of live row positions over one row incidence built per solve: rules
-1-3 scan that incidence through the mask, rule 1 reading each meeting
-pair's candidate third rows as one row mask and one pass over the column
-pairs deciding rules 2 and 3, and step 0 tests the kept row masks for
-consecutive ones. The children of a rule-3 node skip that pass: they
-inherit its maximal cliques, less the deleted row. Each rule deletes one row
-per child and lowers the budget, so the branch tree has at most 4^d
-internal splits. When no rule applies, the identity augmentation turns the
-node's rows into the clique matrix of its derived graph and the residue is
-solved exactly as interval vertex deletion. Row deletion keeps that
-correspondence, so the leaf search tests its live rows for consecutive ones
-instead of testing the graph for intervality. A solve builds one augmented
-graph for its leaves (two, when some keep a row labelled -n..-1 and some do
-not), each leaf searching it from its own live mask, and the leaves on one
-graph share one memo of failed deletion sets; a leaf builds its matrix only
-for the ``on_leaf`` hook.
+1-3 scan that incidence through the mask, rule 1 reading one candidate
+mask per row and one pass over the column pairs deciding rules 2 and 3,
+and step 0 tests the kept row masks for consecutive ones. The children of
+a rule-3 node skip that pass: they inherit its maximal cliques, less the
+deleted row. Each rule deletes one row per child and lowers the budget, so
+the branch tree has at most 4^d internal splits. When no rule applies, the
+identity augmentation turns the node's rows into the clique matrix of its
+derived graph and the residue is solved exactly as interval vertex
+deletion. Row deletion keeps that correspondence, so the leaf search tests
+its live rows for consecutive ones instead of testing the graph for
+intervality. A solve builds one augmented graph for its leaves (two, when
+some keep a row labelled -n..-1 and some do not), as adjacency masks and a
+map from graph to row positions; each leaf searches it from its own live
+mask, and the leaves on one graph share one memo of failed deletion sets.
+Every layer below ``cos_r`` takes and returns positions, and labels only
+break ties; a leaf builds its matrix only for the ``on_leaf`` hook.
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable
 
-# ``cop_order``, ``find_helly_violation``, ``find_uncovered_clique``,
-# ``interval_deletion`` and ``set_system`` stay here for the benchmark's
-# tracer, which wraps them in ``cosr.solver`` by name. The leaf reads
-# ``_LEAF_NODE_LIMIT`` from this module, so a test can patch it.
-from .graphs import Graph, _containers, _helly_scan, _incidence, _inherited_cliques, _scan_column_pairs
-from .graphs import _uncovered_core, derived_graph, find_c4
-from .graphs import pair_subgraph
-from .graphs import find_helly_violation, find_uncovered_clique  # noqa: F401
-from .interval import _NODE_LIMIT as _LEAF_NODE_LIMIT, _interval_deletion, interval_deletion  # noqa: F401
+# ``cop_order``, ``find_c4``, ``find_helly_violation``,
+# ``find_uncovered_clique``, ``interval_deletion``, ``pair_subgraph`` and
+# ``set_system`` stay here for the benchmark's tracer, which wraps them in
+# ``cosr.solver`` by name.
+from .graphs import Graph, _c4, _helly_candidates, _helly_scan, _incidence, _inherited_cliques
+from .graphs import _scan_column_pairs, _uncovered_core, derived_graph
+from .graphs import find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph  # noqa: F401
+from .interval import _interval_deletion, interval_deletion  # noqa: F401
 from .cop import _cop_positions, cop_order  # noqa: F401
 from .matrix import BinaryMatrix, _bits, augment, delete_rows, set_system  # noqa: F401
 
@@ -96,15 +96,19 @@ class SolveReport:
 
 def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     """Rows of the first induced 4-cycle over all column-pair subgraphs."""
-    pair, _ = _scan_column_pairs(M, *_incidence(M.rows, M.n), (1 << M.m) - 1)
-    return None if pair is None else _rule2_c4(M, pair, 0)
+    cols, meets = _incidence(M.rows, M.n)
+    pair, _ = _scan_column_pairs(cols, meets, (1 << M.m) - 1)
+    if pair is None:
+        return None
+    return tuple(M.row_ids[p] for p in _rule2_c4(M.row_ids, meets, cols[pair[0]] | cols[pair[1]]))
 
 
-def _rule2_c4(M: BinaryMatrix, pair: tuple[int, int], dead: int) -> tuple[int, ...] | None:
-    """``find_c4`` on ``pair_subgraph`` of M without the rows at the
-    positions in ``dead``: an induced subgraph of an induced subgraph, so
-    the same graph, labels and first hit as on M with those rows deleted."""
-    return find_c4(pair_subgraph(M, *pair).without(M.row_ids[p] for p in _bits(dead)))
+def _rule2_c4(ids: tuple[int, ...], meets: list[int], group: int) -> list[int]:
+    """Positions of the cycle ``find_c4`` finds on the derived graph of the
+    rows at the positions in ``group``, whose vertices go in label order."""
+    order = sorted(_bits(group), key=ids.__getitem__)
+    bit = {p: 1 << v for v, p in enumerate(order)}
+    return [order[v] for v in _c4([sum(bit[q] for q in _bits(meets[p] & group) if q != p) for p in order])]
 
 
 def _kept(rows: tuple[int, ...], dead: int) -> tuple[int, ...]:
@@ -114,32 +118,23 @@ def _kept(rows: tuple[int, ...], dead: int) -> tuple[int, ...]:
     return rows
 
 
-# Below this many rows the root leaves ``sup`` at 0, which skips no triple
-# in the Helly scan; skipped triples are clean, so the first hit is the same.
-# Timed per solve over the ``_containers`` build and every rule-1 scan
-# (best of 15, 2 vCPU Xeon, CPython 3.11.7): on the 3-8-row corpus matrices
-# ``sup`` cost 0.3-1.2 us, on random 10-row ones 1.7 us; from 12 rows it
-# saved 6-17 us on random matrices, and 4-120 us on planted families of
-# 8-127 rows.
-_CONTAINERS_FROM = 10
-
-_LeafGraph = tuple[Graph, frozenset[int], int, list[int], list[int], dict[int, int]]
+_LeafGraph = tuple[list[int], int, dict[int, int], list[int], list[int], dict[int, int]]
 
 
 def _leaf_graph(M: BinaryMatrix, shifted: bool) -> _LeafGraph:
-    """The derived graph of ``augment(M)``, or if not ``shifted`` of the
-    augmentation of M without its rows labelled -n..-1; its identity labels,
-    and their positions as a mask; the graph bit of each row of M, 0 for a
-    row left out; the row masks by graph position, 0 for identity rows; and
-    an empty memo of failed nodes."""
+    """The adjacency masks of the derived graph of ``augment(M)``, or if not
+    ``shifted`` of the augmentation of M without its rows labelled -n..-1;
+    the mask of its identity vertices; the graph bit of each row of M it
+    keeps, keyed by position in M; the position in M of each vertex, -1 for
+    an identity vertex; the row masks by vertex, 0 for identity rows; and an
+    empty memo of failed nodes."""
     drop = [] if shifted else [r for r in M.row_ids if -M.n <= r < 0]
-    base = delete_rows(M, drop) if drop else M
-    aug = augment(base)
+    aug = augment(delete_rows(M, drop) if drop else M)
     graph = derived_graph(aug)
-    rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
-    place = [1 << graph._index[r] if r in base.row_index else 0 for r in M.row_ids]
-    identity = sum(1 << graph._index[v] for v in aug.identity_rows)
-    return graph, aug.identity_rows, identity, place, rows, {}
+    at = [-1 if v in aug.identity_rows else M.row_index[v] for v in graph.vertices]
+    place = {p: 1 << v for v, p in enumerate(at) if p >= 0}
+    identity = sum(1 << v for v, p in enumerate(at) if p < 0)
+    return graph._adj, identity, place, at, [M.rows[p] if p >= 0 else 0 for p in at], {}
 
 
 def _solve(
@@ -156,7 +151,7 @@ def _solve(
     # through ``live`` and visits them in ascending position, and it breaks
     # ties by label, so it sees and answers exactly what it would on M with
     # the other rows deleted, in the same order.
-    full = (1 << M.m) - 1
+    ids, full = M.row_ids, (1 << M.m) - 1
     stack: list[tuple[int, int, int, Collection[int] | None]] = [(full, d, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:
@@ -171,17 +166,17 @@ def _solve(
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
         # step 0 could only say None.
         root = live == full
-        hit = None if root else _helly_scan(M.rows, meets, sup, live & -(1 << helly_start))
+        hit = None if root else _helly_scan(M.rows, cand, live & -(1 << helly_start))
         if hit is None:
             positions = _cop_positions(_kept(M.rows, full ^ live), M.n)
             if positions is not None:
                 return full ^ live, positions
             if root:
                 cols, meets = _incidence(M.rows, M.n)
-                sup = _containers(cols, M.m) if M.m >= _CONTAINERS_FROM else [0] * M.m
-                hit = _helly_scan(M.rows, meets, sup, live)
+                cand = _helly_candidates(cols, meets)
+                hit = _helly_scan(M.rows, cand, live)
 
-        branch_rows: Iterable[int] | None = None
+        branch: Iterable[int] | None = None
         inherited = None
         # A child's triples are its parent's that avoid the deleted row, and
         # a triple's verdict depends on its three rows alone. So below a
@@ -190,7 +185,7 @@ def _solve(
         child_start = M.m
         if hit is not None:
             stats.rule1 += 1
-            branch_rows = [M.row_ids[p] for p in hit[0]]
+            branch = hit[0]
             child_start = hit[0][0]
         else:
             # A pair subgraph is chordal iff it has no induced C4: its two
@@ -198,7 +193,7 @@ def _solve(
             # clique in at most two vertices. So one pass decides rules 2 and
             # 3, and it stops at the first pair on which ``find_c4`` hits.
             if cliques is None:
-                pair, cliques = _scan_column_pairs(M, cols, meets, live)
+                pair, cliques = _scan_column_pairs(cols, meets, live)
             else:
                 # A rule-3 child is its parent G minus one row r. Its triples
                 # and pair subgraphs are induced ones of G's, so rule 1 stays
@@ -212,11 +207,10 @@ def _solve(
                 pair, cliques = None, _inherited_cliques(cliques, live)
             if pair is not None:
                 stats.rule2 += 1
-                branch_rows = _rule2_c4(M, pair, full ^ live)
-            elif (uncovered := _uncovered_core(M, cols, cliques)) is not None:
+                branch = _rule2_c4(ids, meets, (cols[pair[0]] | cols[pair[1]]) & live)
+            elif (uncovered := _uncovered_core(ids, cols, cliques)) is not None:
                 stats.rule3 += 1
                 inherited = cliques
-                _, core = uncovered
                 # Three core rows suffice even when the core has k > 3.
                 # Minimality gives each core row S_i a column c_i lying in
                 # every other core row but not in S_i. In a COP column
@@ -226,12 +220,12 @@ def _solve(
                 # kept rows; each role fits one row, so at most 2 core
                 # rows survive. Every solution deletes >= k - 2 of the k
                 # core rows, hence at least one of any 3.
-                branch_rows = sorted(core)[:3]
+                branch = sorted(_bits(uncovered[1]), key=ids.__getitem__)[:3]
 
-        if branch_rows is not None:
-            # Popped in ascending row order, each subtree before the next.
-            for row in sorted(branch_rows, reverse=True):
-                stack.append((live & ~(1 << M.row_index[row]), budget - 1, child_start, inherited))
+        if branch is not None:
+            # Popped in ascending label order, each subtree before the next.
+            for p in sorted(branch, key=ids.__getitem__, reverse=True):
+                stack.append((live & ~(1 << p), budget - 1, child_start, inherited))
             continue
 
         # Step 5: no rule applies; the augmented matrix is the clique matrix
@@ -242,19 +236,18 @@ def _solve(
         # because the three-rule-clean state survives original-row deletion.
         stats.leaves += 1
         if on_leaf is not None:
-            on_leaf(delete_rows(M, [M.row_ids[p] for p in _bits(full ^ live)]), budget)
+            on_leaf(delete_rows(M, [ids[p] for p in _bits(full ^ live)]), budget)
         # ``augment`` shifts a leaf's identity labels below its own rows iff
         # it keeps a row labelled -n..-1. Either way, in label order its
         # identity rows sit among its rows as they do in the graph of this
         # flag, so the leaf's derived graph is that graph induced on
         # ``start``, positions in the same order, and the search reads the
         # graph only through its live mask.
-        shifted = any(-M.n <= M.row_ids[p] < 0 for p in _bits(live))
+        shifted = any(-M.n <= ids[p] < 0 for p in _bits(live))
         if shifted not in leaf_graphs:
             leaf_graphs[shifted] = _leaf_graph(M, shifted)
-        graph, identity, start, place, rows, failed = leaf_graphs[shifted]
-        for p in _bits(live):
-            start |= place[p]
+        adj, identity, place, at, rows, failed = leaf_graphs[shifted]
+        start = identity | sum(place[p] for p in _bits(live))
         # Lemma: for a leaf matrix L and a set S of its original rows, G - S
         # is interval iff delete_rows(L, S) has COP, with G the derived graph
         # of aug = augment(L).
@@ -269,16 +262,16 @@ def _solve(
         # interval test and equal label order, so every leaf of this solve
         # on that graph may share one memo of failed nodes.
         removed, nodes, fell_back = _interval_deletion(
-            graph, budget, _LEAF_NODE_LIMIT, identity,
-            lambda live: _cop_positions([rows[p] for p in _bits(live)], M.n) is not None, start, failed)
+            adj, start, budget, identity,
+            lambda live: _cop_positions([rows[p] for p in _bits(live)], M.n) is not None, failed, False)
         stats.leaf_nodes += nodes
         stats.leaf_fallbacks += fell_back
-        # Step 6: derived-graph vertices carry the row labels, so ``removed``
-        # already names rows of M. By the lemma the survivor has COP; its
-        # kept rows are tested in storage order, as step 0 tests a node's.
+        # Step 6: ``at`` takes ``removed`` back to positions of M. By the
+        # lemma the survivor has COP; its kept rows are tested in storage
+        # order, as step 0 tests a node's.
         if removed is not None:
             assert not removed & identity
-            dead = (full ^ live) | sum(1 << M.row_index[r] for r in removed)
+            dead = (full ^ live) | sum(1 << at[v] for v in _bits(removed))
             positions = _cop_positions(_kept(M.rows, dead), M.n)
             assert positions is not None
             return dead, positions

@@ -22,7 +22,7 @@ from cosr.cop import (
     _overlaps_by_pairs,
     _overlaps_by_refinement,
 )
-from cosr.graphs import _containers, _helly_scan, _incidence
+from cosr.graphs import _helly_candidates, _helly_scan, _incidence
 from cosr.oracle import brute_cop, random_instance
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
@@ -209,8 +209,8 @@ def test_cop_implies_no_helly_violation():
     kinds = set()
     for M in cases:
         cols, meets = _incidence(M.rows, M.n)
-        sup = _containers(cols, M.m)
-        scans = (_helly_scan(M.rows, meets, sup, ((1 << M.m) - 1) >> s << s) for s in range(M.m))
+        cand = _helly_candidates(cols, meets)
+        scans = (_helly_scan(M.rows, cand, ((1 << M.m) - 1) >> s << s) for s in range(M.m))
         hits = [hit for hit in scans if hit is not None]
         kinds.update(kind for _, kind in hits)
         if hits:

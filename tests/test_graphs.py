@@ -23,7 +23,7 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _containers, _helly_scan, _incidence, _scan_column_pairs, _uncovered_core
+from cosr.graphs import _helly_candidates, _helly_scan, _incidence, _scan_column_pairs, _uncovered_core
 from cosr.matrix import _bits
 from cosr.oracle import brute_maximal_cliques, random_instance
 from cosr.solver import _find_rule2_cycle, _rule2_c4
@@ -136,8 +136,7 @@ def _live(M, drop=()):
 
 def _helly_at(M, live):
     """``_helly_scan`` on the ``live`` rows of M, as labels and kind."""
-    cols, meets = _incidence(M.rows, M.n)
-    hit = _helly_scan(M.rows, meets, _containers(cols, M.m), live)
+    hit = _helly_scan(M.rows, _helly_candidates(*_incidence(M.rows, M.n)), live)
     return None if hit is None else (tuple(M.row_ids[p] for p in hit[0]), hit[1])
 
 
@@ -267,21 +266,40 @@ def test_nested_pair_skips_match_the_triple_scan_at_planted_scale():
         M = _planted_family(rng, 30 + 5 * t, 2 + t % 2, 30 + 5 * t, 1 + t % 4)
         sizes.append(M.m)
         cols, meets = _incidence(M.rows, M.n)
-        sup = _containers(cols, M.m)
-        if t < 4:  # ``sup`` by its definition
-            assert sup == [sum(1 << s for s, y in enumerate(M.rows) if not x & ~y) for x in M.rows]
+        cand = _helly_candidates(cols, meets)
+        if t < 4:  # ``cand`` by its definition: meeting rows, less those holding the row
+            assert cand == [meet & ~sum(1 << s for s, y in enumerate(M.rows) if not x & ~y)
+                            for x, meet in zip(M.rows, meets)]
         frontier = [((1 << M.m) - 1, 0)]
         for _ in range(3):
             deeper = []
             for live, start in frontier:
                 want = _helly_scan_by_triples(M.rows, meets, live >> start << start)
-                assert _helly_scan(M.rows, meets, sup, live >> start << start) == want, (t, live, start)
+                assert _helly_scan(M.rows, cand, live >> start << start) == want, (t, live, start)
                 kinds[None if want is None else want[1]] += 1
                 if want is not None:
                     deeper += [(live & ~(1 << p), want[0][0]) for p in want[0]]
             frontier = deeper
     assert min(kinds.values()) > 20, kinds
     assert min(sizes) < 100 and max(sizes) > 500, sizes
+
+
+def test_helly_candidates_match_their_definition():
+    # ``cand[r]``: the rows meeting row r, less the rows holding all of r.
+    # All-zero rows meet nothing, and a duplicate row holds its twin.
+    rng = random.Random(66)
+    kinds = {"zero": 0, "twin": 0}
+    for seed in range(300):
+        m, n = 2 + seed % 9, 1 + seed % 7
+        rows = [rng.getrandbits(n) for _ in range(m)]
+        rows += [0] * (seed % 2) + [rng.choice(rows)] * (seed % 3 > 0)
+        rng.shuffle(rows)
+        M = BinaryMatrix(tuple(rng.sample(range(-20, 40), len(rows))), tuple(range(1, n + 1)), tuple(rows))
+        want = [sum(1 << s for s, y in enumerate(M.rows) if x & y and x & ~y) for x in M.rows]
+        assert _helly_candidates(*_incidence(M.rows, M.n)) == want, M
+        kinds["zero"] += 0 in M.rows
+        kinds["twin"] += len(set(M.rows)) < M.m
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_a_triple_with_a_nested_pair_is_clean():
@@ -513,14 +531,17 @@ def _pass_against_the_two_scans(M, drop):
     )
     assert _find_rule2_cycle(sub) == cycle, (M, drop)
     cols, meets = _incidence(M.rows, M.n)
-    pair, candidates = _scan_column_pairs(M, cols, meets, _live(M, drop))
-    uncovered = None if pair is not None else _uncovered_core(M, cols, candidates)
+    pair, candidates = _scan_column_pairs(cols, meets, _live(M, drop))
+    uncovered = None if pair is not None else _uncovered_core(M.row_ids, cols, candidates)
+    if uncovered is not None:
+        uncovered = tuple(frozenset(M.row_ids[p] for p in _bits(mask)) for mask in uncovered)
     if cycle is None:
         assert pair is None and uncovered == _uncovered_clique_by_labels(sub), (M, drop)
     else:
-        assert find_c4(pair_subgraph(sub, *pair)) == cycle and candidates is None, (M, drop)
+        assert find_c4(pair_subgraph(sub, *(M.col_ids[c] for c in pair))) == cycle and candidates is None, (M, drop)
         # the solver's rule-2 cycle, read through the live mask of M
-        assert _rule2_c4(M, pair, _live(M, drop) ^ ((1 << M.m) - 1)) == cycle, (M, drop)
+        group = (cols[pair[0]] | cols[pair[1]]) & _live(M, drop)
+        assert tuple(M.row_ids[p] for p in _rule2_c4(M.row_ids, meets, group)) == cycle, (M, drop)
     return "rule2" if cycle else "rule3" if uncovered else "neither"
 
 

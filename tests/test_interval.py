@@ -1,5 +1,6 @@
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -145,26 +146,33 @@ def test_interval_deletion_forbidden_vertices():
     assert interval_deletion(g, 4, forbidden=frozenset({1, 2, 3, 4})) is None
 
 
-def test_subset_fallback_matches_branching():
+def test_subset_fallback_matches_branching(monkeypatch):
+    import cosr.interval as iv
+
     rng = random.Random(53)
     for _ in range(25):
         g = random_graph(rng, rng.randint(3, 7), 0.5)
         for d in range(3):
             a = interval_deletion(g, d)
-            b = interval_deletion(g, d, node_limit=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(iv, "_NODE_LIMIT", 0)
+                b = interval_deletion(g, d)
             assert (a is None) == (b is None)
             if a is not None:
                 assert is_interval(g.without(b)) and len(b) <= d
 
 
-def test_subset_search_sizes_stop_at_the_allowed_vertices():
+def test_subset_search_sizes_stop_at_the_allowed_vertices(monkeypatch):
     # The exhaustive search tries deletion sets no larger than the allowed
     # vertices, whatever the budget: a budget of 10**9 once looped over every
     # size up to it before giving up.
+    import cosr.interval as iv
+
+    monkeypatch.setattr(iv, "_NODE_LIMIT", 0)
     g = cycle(4)
     start = time.perf_counter()
-    assert interval_deletion(g, 10**9, node_limit=0, forbidden=frozenset(g.vertices)) is None
-    assert interval_deletion(g, 10**9, node_limit=0, forbidden=frozenset({1, 2, 3})) == {4}
+    assert interval_deletion(g, 10**9, forbidden=frozenset(g.vertices)) is None
+    assert interval_deletion(g, 10**9, forbidden=frozenset({1, 2, 3})) == {4}
     assert time.perf_counter() - start < 1
 
 
@@ -182,11 +190,30 @@ def test_minimalize_solution_examples():
         minimalize_solution(c4, frozenset({}))
 
 
-def test_node_budget_fallback_is_reported():
-    from cosr.interval import _graph_test, _interval_deletion
+def test_forbidden_is_keyword_only():
+    with pytest.raises(TypeError):
+        interval_deletion(cycle(4), 1, 0)
+
+
+def _positional(g, d, forbidden=frozenset(), stand_in=True):
+    """``_interval_deletion`` on all of g with a fresh memo, its deletion
+    mask read back as labels. With ``stand_in`` the graph test comes in as
+    the stand-in that the solver's leaf hands in, so MCS runs in _branch;
+    without it the search reads chordality from the graph test's verdicts,
+    as ``interval_deletion`` does."""
+    import cosr.interval as iv
+
+    removed, nodes, fell_back = iv._interval_deletion(
+        g._adj, (1 << g.n) - 1, d, iv._mask(g, forbidden), partial(iv._chordal_interval, g._adj), {}, not stand_in)
+    return None if removed is None else g.labels(removed), nodes, fell_back
+
+
+def test_node_budget_fallback_is_reported(monkeypatch):
+    import cosr.interval as iv
 
     def run(G, d, limit):
-        return _interval_deletion(G, d, limit, frozenset(), _graph_test(G))
+        monkeypatch.setattr(iv, "_NODE_LIMIT", limit)
+        return _positional(G, d)
 
     assert run(cycle(4), 1, 200_000) == ({1}, 2, False)
     assert run(cycle(4), 1, 0) == ({1}, 1, True)
@@ -315,8 +342,7 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(iv, "_mcs_order", counted)
-            out = [[iv._interval_deletion(g, d, iv._NODE_LIMIT, frozenset(), iv._graph_test(g)) for d in range(4)]
-                   for g in graphs]
+            out = [[_positional(g, d) for d in range(4)] for g in graphs]
         return out, calls[0]
 
     rng = random.Random(67)
@@ -383,8 +409,11 @@ def test_failed_node_memo_matches_the_memo_free_search(monkeypatch):
         cases.append((g, frozenset(rng.sample(labels, rng.randint(0, min(2, n)))), i % 2))
 
     def run():
-        return [iv._interval_deletion(g, d, limit, forbidden, iv._graph_test(g) if stand_in else None)
-                for g, forbidden, stand_in in cases for d in range(4) for limit in (1, 3, 7, 20, 200_000)]
+        out = []
+        for limit in (1, 3, 7, 20, 200_000):
+            monkeypatch.setattr(iv, "_NODE_LIMIT", limit)
+            out += [_positional(g, d, forbidden, stand_in) for g, forbidden, stand_in in cases for d in range(4)]
+        return out
 
     out_on_hit = [0]
     branch = iv._branch
@@ -435,8 +464,7 @@ def test_public_path_reads_chordality_from_the_graph_test(monkeypatch):
     def run(stand_in):
         callers.clear()
         visits.clear()
-        out = [iv._interval_deletion(g, d, iv._NODE_LIMIT, frozenset(), iv._graph_test(g) if stand_in else None)
-               for g in graphs for d in range(4)]
+        out = [_positional(g, d, stand_in=stand_in) for g in graphs for d in range(4)]
         return out, list(visits), callers.count("_branch")
 
     told, told_visits, told_runs = run(False)

@@ -322,11 +322,11 @@ def test_complement_of_identity_cores_solved_at_the_leaf(k):
 
 
 def test_leaf_fallback_is_counted(monkeypatch):
-    import cosr.solver
+    import cosr.interval
 
     M = complement_of_identity(6)
     want = cos_r(M, 4)
-    monkeypatch.setattr(cosr.solver, "_LEAF_NODE_LIMIT", 0)
+    monkeypatch.setattr(cosr.interval, "_NODE_LIMIT", 0)
     for d in (3, 4):
         rep = cos_r(M, d)
         assert rep.feasible == (d == 4)
@@ -467,10 +467,10 @@ def test_search_deeper_than_the_recursion_limit():
 
 def test_one_derived_graph_per_node(monkeypatch):
     # A solve builds one incidence, once the root's step 0 fails. Rules 1-3
-    # and step 0 read it and M's rows through the node's live mask, so
-    # derived graphs are built only for a rule-2 hit's pair subgraph, of M,
-    # and once per solve for its leaves: with positive labels every leaf
-    # shares one augmentation of M. No leaf builds a matrix.
+    # and step 0 read it and M's rows through the node's live mask, so a
+    # derived graph is built only once per solve for its leaves: with
+    # positive labels every leaf shares one augmentation of M. No leaf
+    # builds a matrix.
     import cosr.graphs
     import cosr.solver
 
@@ -489,7 +489,7 @@ def test_one_derived_graph_per_node(monkeypatch):
                 root_fails = names[0] == "_cop_positions" and events[0][2] is None
                 assert names.count("_incidence") == root_fails, (i, k, d)
                 assert names.count("augment") == (stats.leaves > 0), (i, k, d)
-                assert names.count("derived_graph") == stats.rule2 + (stats.leaves > 0), (i, k, d)
+                assert names.count("derived_graph") == (stats.leaves > 0), (i, k, d)
                 assert "delete_rows" not in names, (i, k, d)
                 for name, then in zip(names, names[1:] + [None]):
                     if name == "augment":  # the augmentation goes straight to its derived graph
@@ -499,16 +499,32 @@ def test_one_derived_graph_per_node(monkeypatch):
     assert min(hits.values()) > 0, hits
 
 
-def _recording_leaf(monkeypatch, check):
-    """Make the solver's leaf hand its graph, budget, forbidden rows,
-    interval test and live mask to ``check`` before each search."""
+def _graph_of(monkeypatch):
+    """Record the graphs the solver derives; the function returned finds the
+    one whose adjacency masks a leaf searches."""
     import cosr.solver
 
-    inner = cosr.solver._interval_deletion
+    build, graphs = cosr.solver.derived_graph, []
 
-    def recording(graph, budget, limit, forbidden, interval, live, failed):
-        check(graph, budget, forbidden, interval, live)
-        return inner(graph, budget, limit, forbidden, interval, live, failed)
+    def building(aug):
+        graphs.append(build(aug))
+        return graphs[-1]
+
+    monkeypatch.setattr(cosr.solver, "derived_graph", building)
+    return lambda adj: next(g for g in reversed(graphs) if g._adj is adj)
+
+
+def _recording_leaf(monkeypatch, check):
+    """Make the solver's leaf hand its graph, budget, forbidden rows (as
+    labels), interval test and live mask to ``check`` before each search."""
+    import cosr.solver
+
+    inner, graph_of = cosr.solver._interval_deletion, _graph_of(monkeypatch)
+
+    def recording(adj, start, budget, forbidden, interval, failed, chordal):
+        graph = graph_of(adj)
+        check(graph, budget, graph.labels(forbidden), interval, start)
+        return inner(adj, start, budget, forbidden, interval, failed, chordal)
 
     monkeypatch.setattr(cosr.solver, "_interval_deletion", recording)
 
@@ -632,7 +648,7 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
     inner = cosr.solver._interval_deletion
     tests, masks = [0], [0]
 
-    def counting(graph, budget, limit, forbidden, interval, live, failed):
+    def counting(adj, start, budget, forbidden, interval, failed, chordal):
         seen = set()
 
         def test(live):
@@ -640,7 +656,7 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
             seen.add(live)
             return interval(live)
 
-        result = inner(graph, budget, limit, forbidden, test, live, failed)
+        result = inner(adj, start, budget, forbidden, test, failed, chordal)
         masks[0] += len(seen)
         return result
 
@@ -652,7 +668,7 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
 def test_subset_search_leaves_give_the_same_answers(monkeypatch):
     # With no branch-node budget every leaf takes the exhaustive subset
     # search, which asks the same interval test.
-    import cosr.solver
+    import cosr.interval
 
     cases = list(_core_solves())
     for i in range(0, 168, 6):
@@ -660,7 +676,7 @@ def test_subset_search_leaves_give_the_same_answers(monkeypatch):
             M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
             cases += [(M, d) for d in range(4)]
     want = [cos_r(M, d).to_text() for M, d in cases]
-    monkeypatch.setattr(cosr.solver, "_LEAF_NODE_LIMIT", 0)
+    monkeypatch.setattr(cosr.interval, "_NODE_LIMIT", 0)
     fallbacks = 0
     for (M, d), text in zip(cases, want):
         report = cos_r(M, d)
@@ -731,14 +747,41 @@ def test_shifted_identity_labels_answers_are_byte_identical():
     assert answers.hexdigest()[:16] == "cd5467a6b27aed22"
 
 
-def _per_leaf_search(mat, budget, limit):
+def test_the_search_converts_no_labels(monkeypatch):
+    # Every layer below cos_r takes and returns positions, so the leaf never
+    # turns labels into a mask or a mask into labels. The answers stay those
+    # that the three hash tests pin.
+    import cosr.graphs
+    import cosr.interval
+
+    def refuse(*args):
+        raise AssertionError("label conversion inside the search")
+
+    monkeypatch.setattr(cosr.interval, "_mask", refuse)
+    monkeypatch.setattr(cosr.graphs.Graph, "labels", refuse)
+    for solves, pinned in ((_core_solves(), "04c1c2228200d9b3"), (_relabelled_solves(), "8479b5bc1dd1feda"),
+                           (_relabelled_solves(shifted=True), "cd5467a6b27aed22")):
+        answers, leaves = hashlib.sha256(), 0
+        for M, d in solves:
+            report = cos_r(M, d)
+            answers.update(report.to_text().encode())
+            answers.update(repr(report.stats.as_dict()).encode())
+            leaves += report.stats.leaves
+        assert leaves > 30 and answers.hexdigest()[:16] == pinned, leaves
+
+
+def _per_leaf_search(mat, budget):
     """The leaf search as one leaf alone runs it: the derived graph of its
-    own augmentation, the consecutive-ones test of its rows, a fresh memo."""
+    own augmentation, the consecutive-ones test of its rows, a fresh memo;
+    the deletion set as labels."""
     aug = augment(mat)
     graph = derived_graph(aug)
     rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
-    return _interval_deletion(graph, budget, limit, aug.identity_rows,
-                              lambda live: _cop_positions([rows[p] for p in _bits(live)], mat.n) is not None)
+    identity = sum(1 << p for p, v in enumerate(graph.vertices) if v in aug.identity_rows)
+    removed, nodes, fell_back = _interval_deletion(
+        graph._adj, (1 << graph.n) - 1, budget, identity,
+        lambda live: _cop_positions([rows[p] for p in _bits(live)], mat.n) is not None, {}, False)
+    return None if removed is None else graph.labels(removed), nodes, fell_back
 
 
 def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
@@ -752,15 +795,17 @@ def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
     # search as it does alone.
     import cosr.solver
 
-    inner = cosr.solver._interval_deletion
+    inner, graph_of = cosr.solver._interval_deletion, _graph_of(monkeypatch)
     leaves, flags, moved = [], set(), [0]
 
-    def compare(graph, budget, limit, forbidden, interval, live, failed):
-        got = inner(graph, budget, limit, forbidden, interval, live, failed)
+    def compare(adj, start, budget, forbidden, interval, failed, chordal):
+        got = inner(adj, start, budget, forbidden, interval, failed, chordal)
+        graph, (removed, nodes, fell_back) = graph_of(adj), got
         mat, b = leaves[-1]  # on_leaf runs just before the search
-        assert got == _per_leaf_search(mat, b, limit), mat
+        labels = None if removed is None else graph.labels(removed)
+        assert (labels, nodes, fell_back) == _per_leaf_search(mat, b), mat
         flags.add(any(-mat.n <= r < 0 for r in mat.row_ids))
-        moved[0] += forbidden != augment(mat).identity_rows
+        moved[0] += graph.labels(forbidden) != augment(mat).identity_rows
         return got
 
     def on_leaf(mat, b):

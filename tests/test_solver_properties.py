@@ -167,7 +167,7 @@ def test_rule3_children_inherit_the_cliques_their_scan_lists(M):
 
     def fresh(cliques, live):
         got = inner(cliques, live)
-        pair, listed = _scan_column_pairs(M, *_incidence(M.rows, M.n), live)
+        pair, listed = _scan_column_pairs(*_incidence(M.rows, M.n), live)
         assert pair is None and sorted(got) == sorted(listed), (M, live)
         checked.append(live)
         return got
