@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
-from typing import Iterable, Sequence
+from operator import and_, or_
+from typing import Collection, Iterable, Sequence
 
 from .errors import ContractError, ParseError
 from .matrix import BinaryMatrix, _bits, _expect_end, _read_header, support
@@ -103,37 +103,30 @@ class HellyViolation:
     kind: str
 
 
-def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
     """Row incidence masks over the positions in ``rows``.
 
     ``cols[c]`` has bit r when row r holds column c, and ``meets[r]`` has
     bit s when rows r and s share a column; a nonempty row meets itself.
+    ``cand[r]`` has bit s when rows r and s meet and s lacks a column of r.
     """
     cols, supports = [0] * n, [list(_bits(mask)) for mask in rows]
     for r, support_r in enumerate(supports):
         bit = 1 << r
         for c in support_r:
             cols[c] |= bit
-    return cols, [reduce(or_, map(cols.__getitem__, support_r), 0) for support_r in supports]
-
-
-def _helly_candidates(cols: list[int], meets: list[int]) -> list[int]:
-    """``cand[r]`` has bit s when rows r and s meet and row s lacks some
-    column of row r, given ``_incidence``'s ``cols`` and ``meets``."""
-    sup = [-1] * len(meets)  # sup[r]: the rows holding every column of r
-    for members in cols:
-        rest = members
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sup[low.bit_length() - 1] &= members
-    return [meet & ~held for meet, held in zip(meets, sup)]
+    meets, cand = [], []
+    for support_r in supports:
+        held = [*map(cols.__getitem__, support_r)]
+        meets.append(meet := reduce(or_, held, 0))
+        cand.append(meet & ~reduce(and_, held, -1))
+    return cols, meets, cand
 
 
 def derived_graph(M: BinaryMatrix) -> Graph:
     """One vertex per row; an edge where two rows share a 1-column."""
     pairs = sorted(zip(M.row_ids, M.rows))  # graph positions ascend with labels
-    _, meets = _incidence([mask for _, mask in pairs], M.n)
+    _, meets, _ = _incidence([mask for _, mask in pairs], M.n)
     G = Graph(label for label, _ in pairs)
     G._adj = [meet & ~(1 << v) for v, meet in enumerate(meets)]
     return G
@@ -141,8 +134,8 @@ def derived_graph(M: BinaryMatrix) -> Graph:
 
 def _helly_scan(rows: Sequence[int], cand: list[int], live: int) -> tuple[tuple[int, int, int], str] | None:
     """Positions and kind of the first triple of ``live`` rows, in order of
-    position, violating H1 or H2 (H1 tested first); ``cand`` from
-    ``_helly_candidates`` lets it visit only meeting triples with no nested pair."""
+    position, violating H1 or H2 (H1 tested first); ``_incidence``'s ``cand``
+    lets it visit only meeting triples with no nested pair."""
     # Lemma: a triple holding a nested pair x <= y is clean. The pair's
     # intersection is x, which meets the third row (no H1), and x has no
     # column outside y (no H2). So i skips the rows containing a, j is
@@ -170,7 +163,7 @@ def _helly_scan(rows: Sequence[int], cand: list[int], live: int) -> tuple[tuple[
 
 def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
     """First row triple (in matrix row order) violating H1 or H2, by ``_helly_scan``."""
-    hit = _helly_scan(M.rows, _helly_candidates(*_incidence(M.rows, M.n)), (1 << M.m) - 1)
+    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[2], (1 << M.m) - 1)
     if hit is None:
         return None
     return HellyViolation(tuple(M.row_ids[p] for p in hit[0]), hit[1])
@@ -226,29 +219,22 @@ def _mcs_order(adj: list[int], live: int) -> list[int]:
     return visit
 
 
-def _is_peo(adj: list[int], order: list[int]) -> bool:
-    """True iff the later neighbors of every position in ``order`` form a clique."""
-    later = 0
+def _peo_cliques(adj: list[int], order: list[int]) -> list[int] | None:
+    """Each position of ``order`` with its later neighbors, or None unless
+    every such set is a clique, that is unless ``order`` is a perfect
+    elimination ordering; then the sets hold every maximal clique."""
+    later, cliques = 0, []
     for v in reversed(order):
         nbrs = adj[v] & later
         for u in _bits(nbrs):
             if nbrs & ~adj[u] & ~(1 << u):
-                return False
+                return None
+        cliques.append(nbrs | 1 << v)
         later |= 1 << v
-    return True
+    return cliques
 
 
-def _clique_masks(adj: list[int], peo: list[int]) -> list[int]:
-    """The maximal cliques of a chordal graph, given a perfect elimination ordering."""
-    later = 0
-    candidates = set()
-    for v in reversed(peo):
-        candidates.add(adj[v] & later | 1 << v)
-        later |= 1 << v
-    return _maximal(candidates)
-
-
-def _maximal(masks: set[int]) -> list[int]:
+def _maximal(masks: Collection[int]) -> list[int]:
     """The inclusion-maximal masks among ``masks``."""
     return [c for c in masks if not any(c != o and c & o == c for o in masks)]
 
@@ -262,7 +248,7 @@ def is_chordal(G: Graph) -> tuple[int, ...] | None:
     same ordering.
     """
     order = _mcs_order(G._adj, (1 << G.n) - 1)
-    if not _is_peo(G._adj, order):
+    if _peo_cliques(G._adj, order) is None:
         return None
     return tuple(G.vertices[i] for i in order)
 
@@ -270,9 +256,10 @@ def is_chordal(G: Graph) -> tuple[int, ...] | None:
 def maximal_cliques_chordal(G: Graph, peo: tuple[int, ...]) -> list[frozenset[int]]:
     """All maximal cliques of a chordal graph, via its elimination order."""
     order = [G._index[v] for v in peo] if sorted(peo) == list(G.vertices) else None
-    if order is None or not _is_peo(G._adj, order):
+    cliques = None if order is None else _peo_cliques(G._adj, order)
+    if cliques is None:
         raise ContractError("not a perfect elimination ordering of this graph")
-    return sorted((G.labels(c) for c in _clique_masks(G._adj, order)), key=sorted)
+    return sorted((G.labels(c) for c in _maximal(cliques)), key=sorted)
 
 
 def is_simplicial(G: Graph, v: int) -> bool:
@@ -288,18 +275,21 @@ def _scan_column_pairs(
     ``_incidence``'s ``cols`` and ``meets``: the first column pair, by position,
     whose subgraph is not chordal and None, or None and the pair subgraphs'
     cliques that no live row extends, which ``_uncovered_core`` picks from."""
-    # ``meets`` serves as the adjacency: the search, the PEO check and the
-    # clique listing read only ``meets[v] & live`` or ``meets[v] & later``
-    # with ``later`` inside ``live`` and never holding v, so each pass sees
-    # exactly the pair subgraph induced on its live rows; chordality and
-    # the set of maximal cliques do not depend on the order of positions.
+    # ``meets`` serves as the adjacency: the search and ``_peo_cliques`` read
+    # only ``meets[v] & live`` or ``meets[v] & later`` with ``later`` inside
+    # ``live`` and never holding v, so each pass sees exactly the pair
+    # subgraph induced on its live rows; chordality and the set of maximal
+    # cliques do not depend on the order of positions.
     candidates: set[int] = set()
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
-            order = _mcs_order(meets, (cols[i] | cols[j]) & live)
-            if not _is_peo(meets, order):
+            cliques = _peo_cliques(meets, _mcs_order(meets, (cols[i] | cols[j]) & live))
+            if cliques is None:
                 return (i, j), None
-            for clique in _clique_masks(meets, order):
+            # Lemma: a listed clique that is not maximal in the pair subgraph
+            # has a live row of that subgraph adjacent to all of it, so the
+            # filter below drops it; every maximal clique of it is listed.
+            for clique in cliques:
                 common = live & ~clique
                 for v in _bits(clique):
                     common &= meets[v]
@@ -349,7 +339,7 @@ def find_uncovered_clique(M: BinaryMatrix) -> tuple[frozenset[int], frozenset[in
     are deliberately not treated as uncovered cliques; they cannot affect
     whether the matrix can reach the consecutive ones property.
     """
-    cols, meets = _incidence(M.rows, M.n)
+    cols, meets, _ = _incidence(M.rows, M.n)
     pair, candidates = _scan_column_pairs(cols, meets, (1 << M.m) - 1)
     if pair is not None:
         a, b = (M.col_ids[c] for c in pair)

@@ -32,7 +32,7 @@ from .cop import _cop_positions
 from .errors import ContractError
 # ``is_chordal`` stays importable from here: the benchmark's tracer wraps
 # ``cosr.interval.is_chordal`` by name.
-from .graphs import Graph, _clique_masks, _is_peo, _mcs_order, is_chordal  # noqa: F401
+from .graphs import Graph, _maximal, _mcs_order, _peo_cliques, is_chordal  # noqa: F401
 from .matrix import BinaryMatrix, _bits
 
 # Branch nodes a search may spend before it switches to the exhaustive
@@ -61,11 +61,11 @@ def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
 def _chordal_interval(adj: list[int], live: int) -> bool | None:
     """Whether the subgraph induced on ``live`` is interval: chordal, and
     its clique matrix has consecutive ones. None when it is not chordal."""
-    order = _mcs_order(adj, live)
-    if not _is_peo(adj, order):
+    cliques = _peo_cliques(adj, _mcs_order(adj, live))
+    if cliques is None:
         return None
+    cliques = _maximal(cliques)
     rows = [0] * len(adj)
-    cliques = _clique_masks(adj, order)
     for j, clique in enumerate(cliques):
         for v in _bits(clique):
             rows[v] |= 1 << j
@@ -188,7 +188,7 @@ def _branch(
     # are fixed, and each branch edge removes one vertex and one unit of
     # budget, so d is a function of live (the caller that shares a memo
     # between calls keeps this so). ``chordal`` only decides whether MCS
-    # runs: a chordal node's MCS order passes _is_peo, so it takes the
+    # runs: a chordal node's MCS order is a PEO, so it takes the
     # asteroidal branch with the same witness either way. So a live that
     # failed once fails again after the same number of nodes, which
     # ``failed`` holds; if they pass ``limit``, so does the search without
@@ -207,7 +207,7 @@ def _branch(
         # A hole in G - v is a hole in G, so the children of a chordal node
         # are chordal; ``chordal`` carries that down and spares them MCS. On
         # the graph test's verdicts it starts true: they are None on a hole.
-        chordal = chordal or _is_peo(adj, _mcs_order(adj, live))
+        chordal = chordal or _peo_cliques(adj, _mcs_order(adj, live)) is not None
         if chordal and verdict is not None:
             witness = _asteroidal_witness(adj, live)
             assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"

@@ -2,10 +2,10 @@
 
 Given a binary matrix and a budget d, decide whether deleting at most d
 rows leaves a matrix with the consecutive ones property, and produce the
-rows plus a column-order certificate when it does. Each search node first
-tries the cheap exits (budget exhausted; already consecutive-ones), then
-fires the first applicable of three branching rules. Below the root rule
-1's scan comes first, since its hit refutes consecutive ones:
+rows plus a column-order certificate when it does. The root first tests
+the input for consecutive ones. Every node then fires the first applicable
+of three branching rules; below the root, a node that rule 1 leaves clean
+is tested for consecutive ones first, since a rule-1 hit refutes them:
 
 1. three pairwise-intersecting row sets with an empty common
    intersection, or none of which lies in the union of the other two
@@ -17,23 +17,23 @@ fires the first applicable of three branching rules. Below the root rule
    shrunk to an inclusion-minimal uncovered core.
 
 A search node is the input minus the rows deleted on its path, held as a
-mask of live row positions over one row incidence built per solve: rules
-1-3 scan that incidence through the mask, rule 1 reading one candidate
-mask per row and one pass over the column pairs deciding rules 2 and 3,
-and step 0 tests the kept row masks for consecutive ones. The children of
-a rule-3 node skip that pass: they inherit its maximal cliques, less the
-deleted row. Each rule deletes one row per child and lowers the budget, so
-the branch tree has at most 4^d internal splits. When no rule applies, the
-identity augmentation turns the node's rows into the clique matrix of its
-derived graph and the residue is solved exactly as interval vertex
-deletion. Row deletion keeps that correspondence, so the leaf search tests
-its live rows for consecutive ones instead of testing the graph for
-intervality. A solve builds one augmented graph for its leaves (two, when
-some keep a row labelled -n..-1 and some do not), as adjacency masks and a
-map from graph to row positions; each leaf searches it from its own live
-mask, and the leaves on one graph share one memo of failed deletion sets.
-Every layer below ``cos_r`` takes and returns positions, and labels only
-break ties; a leaf builds its matrix only for the ``on_leaf`` hook.
+mask of live row positions over one row incidence, built once the root's
+test fails. Rules 1-3 and step 0 read the rows through the mask: rule 1
+reads one candidate mask per row, and one pass over the column pairs
+decides rules 2 and 3. The children of a rule-3 node skip that pass: they
+inherit its maximal cliques, less the deleted row. Each rule deletes one
+row per child and lowers the budget, and a node with no budget left has no
+children, so the branch tree has at most 4^d internal splits. When no rule
+applies, the identity augmentation turns the node's rows into the clique
+matrix of its derived graph and the residue is solved exactly as interval
+vertex deletion. Row deletion keeps that correspondence, so the leaf
+search tests its live rows for consecutive ones instead of testing the
+graph for intervality. A solve builds one augmented graph for its leaves
+(two, when some keep a row labelled -n..-1 and some do not), as adjacency
+masks and a map from graph to row positions; each leaf searches it from
+its own live mask, and the leaves on one graph share one memo of failed
+deletion sets. Every layer below ``cos_r`` takes and returns positions,
+and labels only break ties; only the ``on_leaf`` hook gets a leaf matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, Collection, Iterable
 # ``find_uncovered_clique``, ``interval_deletion``, ``pair_subgraph`` and
 # ``set_system`` stay here for the benchmark's tracer, which wraps them in
 # ``cosr.solver`` by name.
-from .graphs import Graph, _c4, _helly_candidates, _helly_scan, _incidence, _inherited_cliques
+from .graphs import Graph, _c4, _helly_scan, _incidence, _inherited_cliques
 from .graphs import _scan_column_pairs, _uncovered_core, derived_graph
 from .graphs import find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph  # noqa: F401
 from .interval import _interval_deletion, interval_deletion  # noqa: F401
@@ -96,7 +96,7 @@ class SolveReport:
 
 def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     """Rows of the first induced 4-cycle over all column-pair subgraphs."""
-    cols, meets = _incidence(M.rows, M.n)
+    cols, meets, _ = _incidence(M.rows, M.n)
     pair, _ = _scan_column_pairs(cols, meets, (1 << M.m) - 1)
     if pair is None:
         return None
@@ -152,29 +152,24 @@ def _solve(
     # ties by label, so it sees and answers exactly what it would on M with
     # the other rows deleted, in the same order.
     ids, full = M.row_ids, (1 << M.m) - 1
+    # Step 0 at the root: an input with the property costs one call and builds no incidence.
+    positions = _cop_positions(_kept(M.rows, 0), M.n)
+    if positions is not None:
+        return 0, positions
+    cols, meets, cand = _incidence(M.rows, M.n)
     stack: list[tuple[int, int, int, Collection[int] | None]] = [(full, d, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:
         live, budget, helly_start, cliques = stack.pop()
-        # Step 1: budget exhausted.
-        if budget < 0:
-            continue
-        # Step 0: done if the matrix already has the property. The root tries
-        # it first, so an input with the property costs one call and builds
-        # no incidence. Below the root rule 1's resumed scan goes first: rows
+        # Rule 1's resumed scan goes first, then step 0 below the root: rows
         # with the property are intervals of one column order, and
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
         # step 0 could only say None.
-        root = live == full
-        hit = None if root else _helly_scan(M.rows, cand, live & -(1 << helly_start))
-        if hit is None:
+        hit = _helly_scan(M.rows, cand, live & -(1 << helly_start))
+        if hit is None and live != full:
             positions = _cop_positions(_kept(M.rows, full ^ live), M.n)
             if positions is not None:
                 return full ^ live, positions
-            if root:
-                cols, meets = _incidence(M.rows, M.n)
-                cand = _helly_candidates(cols, meets)
-                hit = _helly_scan(M.rows, cand, live)
 
         branch: Iterable[int] | None = None
         inherited = None
@@ -223,8 +218,9 @@ def _solve(
                 branch = sorted(_bits(uncovered[1]), key=ids.__getitem__)[:3]
 
         if branch is not None:
-            # Popped in ascending label order, each subtree before the next.
-            for p in sorted(branch, key=ids.__getitem__, reverse=True):
+            # Popped in ascending label order, each subtree before the next;
+            # a node with no budget left has no children.
+            for p in sorted(branch, key=ids.__getitem__, reverse=True) if budget else ():
                 stack.append((live & ~(1 << p), budget - 1, child_start, inherited))
             continue
 

@@ -23,7 +23,7 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _helly_candidates, _helly_scan, _incidence, _scan_column_pairs, _uncovered_core
+from cosr.graphs import _helly_scan, _incidence, _maximal, _mcs_order, _peo_cliques, _scan_column_pairs, _uncovered_core
 from cosr.matrix import _bits
 from cosr.oracle import brute_maximal_cliques, random_instance
 from cosr.solver import _find_rule2_cycle, _rule2_c4
@@ -136,7 +136,7 @@ def _live(M, drop=()):
 
 def _helly_at(M, live):
     """``_helly_scan`` on the ``live`` rows of M, as labels and kind."""
-    hit = _helly_scan(M.rows, _helly_candidates(*_incidence(M.rows, M.n)), live)
+    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[2], live)
     return None if hit is None else (tuple(M.row_ids[p] for p in hit[0]), hit[1])
 
 
@@ -265,8 +265,7 @@ def test_nested_pair_skips_match_the_triple_scan_at_planted_scale():
     for t in range(24):
         M = _planted_family(rng, 30 + 5 * t, 2 + t % 2, 30 + 5 * t, 1 + t % 4)
         sizes.append(M.m)
-        cols, meets = _incidence(M.rows, M.n)
-        cand = _helly_candidates(cols, meets)
+        cols, meets, cand = _incidence(M.rows, M.n)
         if t < 4:  # ``cand`` by its definition: meeting rows, less those holding the row
             assert cand == [meet & ~sum(1 << s for s, y in enumerate(M.rows) if not x & ~y)
                             for x, meet in zip(M.rows, meets)]
@@ -296,7 +295,7 @@ def test_helly_candidates_match_their_definition():
         rng.shuffle(rows)
         M = BinaryMatrix(tuple(rng.sample(range(-20, 40), len(rows))), tuple(range(1, n + 1)), tuple(rows))
         want = [sum(1 << s for s, y in enumerate(M.rows) if x & y and x & ~y) for x in M.rows]
-        assert _helly_candidates(*_incidence(M.rows, M.n)) == want, M
+        assert _incidence(M.rows, M.n)[2] == want, M
         kinds["zero"] += 0 in M.rows
         kinds["twin"] += len(set(M.rows)) < M.m
     assert min(kinds.values()) > 100, kinds
@@ -405,6 +404,59 @@ def test_maximal_cliques_chordal_matches_brute_force():
             continue
         tried += 1
         assert maximal_cliques_chordal(g, peo) == brute_maximal_cliques(g)
+
+
+def _is_peo_reference(adj, order):
+    """True iff the later neighbors of every position in ``order`` form a
+    clique: the PEO check that ``_peo_cliques`` folds into its walk."""
+    later = 0
+    for v in reversed(order):
+        nbrs = adj[v] & later
+        for u in _bits(nbrs):
+            if nbrs & ~adj[u] & ~(1 << u):
+                return False
+        later |= 1 << v
+    return True
+
+
+def _clique_masks_reference(adj, peo):
+    """The maximal cliques of a chordal graph from a perfect elimination
+    ordering, listed by a second walk: the listing ``_peo_cliques`` replaced."""
+    later, candidates = 0, set()
+    for v in reversed(peo):
+        candidates.add(adj[v] & later | 1 << v)
+        later |= 1 << v
+    return {c for c in candidates if not any(c != o and c & o == c for o in candidates)}
+
+
+def test_peo_cliques_match_the_separate_check_and_listing():
+    # One walk checks the order and lists each position with its later
+    # neighbors: None exactly when the separate check fails, else the same
+    # maximal sets. Orders: MCS over all vertices; MCS over a random live
+    # subset, with every vertex adjacent to itself as in ``meets``; and a
+    # random permutation.
+    rng = random.Random(82)
+    outcomes = {"peo": 0, "not": 0}
+    for _ in range(6000):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.5, 0.8))
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        looped = [mask | 1 << v for v, mask in enumerate(adj)]
+        shuffled = rng.sample(range(n), n)
+        for graph, order in ((adj, _mcs_order(adj, (1 << n) - 1)),
+                             (looped, _mcs_order(looped, rng.getrandbits(n))), (adj, shuffled)):
+            got = _peo_cliques(graph, order)
+            if _is_peo_reference(graph, order):
+                assert got is not None and set(_maximal(got)) == _clique_masks_reference(graph, order), (adj, order)
+                outcomes["peo"] += 1
+            else:
+                assert got is None, (adj, order)
+                outcomes["not"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_is_simplicial():
@@ -530,7 +582,7 @@ def _pass_against_the_two_scans(M, drop):
         filter(None, (find_c4(pair_subgraph(sub, a, b)) for a, b in combinations(sub.col_ids, 2))), None
     )
     assert _find_rule2_cycle(sub) == cycle, (M, drop)
-    cols, meets = _incidence(M.rows, M.n)
+    cols, meets, _ = _incidence(M.rows, M.n)
     pair, candidates = _scan_column_pairs(cols, meets, _live(M, drop))
     uncovered = None if pair is not None else _uncovered_core(M.row_ids, cols, candidates)
     if uncovered is not None:

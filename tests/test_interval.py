@@ -374,7 +374,7 @@ def _memo_free_branch(adj, live, d, forbidden, counter, limit, interval, failed,
         return 0
     if d <= 0:
         return None
-    chordal = chordal or iv._is_peo(adj, iv._mcs_order(adj, live))
+    chordal = chordal or iv._peo_cliques(adj, iv._mcs_order(adj, live)) is not None
     if chordal:
         witness = iv._asteroidal_witness(adj, live)
     else:
