@@ -12,9 +12,11 @@ vertex positions still present; positions ascend with labels, so every
 "smallest label first" tie-break is a "lowest bit first" one. It asks an
 interval test on that mask, which the d-COS-R solver replaces by a
 consecutive-ones test of its leaf matrix; MCS then only picks the witness,
-until a node is chordal: its descendants are too, and skip it; the graph
-test's own verdict says which nodes are. Failed nodes are remembered with
-their subtree sizes, so a deletion set reached again is not searched again.
+until a node is chordal: its descendants are too, and skip it (the graph
+test's own verdict says which nodes are); below it, a scan for asteroidal
+triples, resumed at the parent's triple, stands in for the test wherever
+budget is left. Failed nodes are remembered with their subtree sizes, so a
+deletion set reached again is not searched again.
 The search takes and returns position masks, from a start mask and with a
 memo that the caller owns: the d-COS-R solver searches one graph per solve
 and identity shift from each leaf's live mask, with one memo per graph.
@@ -40,6 +42,7 @@ from .matrix import BinaryMatrix, _bits
 _NODE_LIMIT = 200_000
 
 _IntervalTest = Callable[[int], bool | None]  # truthy iff the subgraph on these live positions is interval
+_Triple = tuple[int, int, int]
 
 
 def clique_matrix(G: Graph, cliques: list[frozenset[int]]) -> BinaryMatrix:
@@ -90,9 +93,13 @@ def _bfs_path(adj: list[int], allowed: int, start: int, goal: int) -> list[int] 
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for w in _bits(adj[u] & allowed & ~seen):
+            new = adj[u] & allowed & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
                 parent[w] = u
-                seen |= 1 << w
                 if w == goal:
                     path = [w]
                     while path[-1] != start:
@@ -126,14 +133,15 @@ def _shortest_hole(adj: list[int], live: int) -> list[int] | None:
     return best
 
 
-def _asteroidal_witness(adj: list[int], live: int) -> int | None:
-    """Vertices of an asteroidal triple plus its three connecting paths.
+def _asteroidal_witness(adj: list[int], live: int, after: _Triple = (0, 0, 0)) -> tuple[int, _Triple] | None:
+    """Vertices of an asteroidal triple plus its three connecting paths, and
+    the triple; None when there is none.
 
     A triple of pairwise non-adjacent vertices is asteroidal when every
     pair is joined by a path avoiding the closed neighborhood of the
     third; interval graphs contain none, so any feasible deletion set
     must meet the witness vertex set returned here. Triples are tried in
-    lexicographic order of position.
+    lexicographic order of position, from ``after`` on (see ``_branch``).
 
     For a and b outside N[c], an a-b path avoiding N[c] exists iff a and
     b lie in one component of G - N[c]. So per pair a < b, only the c > b
@@ -151,28 +159,39 @@ def _asteroidal_witness(adj: list[int], live: int) -> int | None:
             reach = frontier = 1 << u
             while frontier:
                 grow = 0
-                for w in _bits(frontier):
-                    grow |= adj[w]
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grow |= adj[low.bit_length() - 1]
                 frontier = grow & rest & ~reach
                 reach |= frontier
-            for w in _bits(reach):
-                components[z, w] = reach
+            spread = reach
+            while spread:
+                low = spread & -spread
+                spread ^= low
+                components[z, low.bit_length() - 1] = reach
         return components[z, u]
 
-    for a in _bits(live):
-        for b in _bits(live & ~adj[a] & ~((2 << a) - 1)):
-            far = live & ~adj[a] & ~adj[b] & ~((2 << b) - 1)
+    a0, b0, c0 = after
+    for a in _bits(live & -(1 << a0)):
+        for b in _bits(live & ~adj[a] & -(2 << a) & (-(1 << b0) if a == a0 else -1)):
+            far = live & ~adj[a] & ~adj[b] & -(2 << b)
+            if a == a0 and b == b0:
+                far &= -(1 << c0)
             if far:
                 far &= component(b, a)
             if far:
                 far &= component(a, b)
-            for c in _bits(far):
+            while far:
+                low = far & -far
+                far ^= low
+                c = low.bit_length() - 1
                 if component(c, a) >> b & 1:
                     witness = 0
                     for s, t, z in ((a, b, c), (a, c, b), (b, c, a)):
                         for v in _bfs_path(adj, live & ~adj[z] & ~(1 << z), s, t):
                             witness |= 1 << v
-                    return witness
+                    return witness, (a, b, c)
     return None
 
 
@@ -182,17 +201,16 @@ class _NodeBudgetExceeded(Exception):
 
 def _branch(
     adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest,
-    failed: dict[int, int], chordal: bool = False,
+    failed: dict[int, int], chordal: bool = False, after: _Triple | None = None,
 ) -> int | None:
     # Lemma: for one ``failed`` memo, adj, forbidden and the interval test
     # are fixed, and each branch edge removes one vertex and one unit of
     # budget, so d is a function of live (the caller that shares a memo
-    # between calls keeps this so). ``chordal`` only decides whether MCS
-    # runs: a chordal node's MCS order is a PEO, so it takes the
-    # asteroidal branch with the same witness either way. So a live that
-    # failed once fails again after the same number of nodes, which
-    # ``failed`` holds; if they pass ``limit``, so does the search without
-    # the memo, inside that subtree.
+    # between calls keeps this so). ``chordal`` and ``after`` pick the tests,
+    # not the witness: a shortest hole, else the first asteroidal triple. So
+    # a live that failed once fails again after the same number of nodes,
+    # which ``failed`` holds; if they pass ``limit``, so does the search
+    # without the memo, inside that subtree.
     start = counter[0]
     counter[0] += failed.get(live, 1)
     if counter[0] > limit:
@@ -200,25 +218,36 @@ def _branch(
         raise _NodeBudgetExceeded
     if live in failed:
         return None
-    verdict = interval(live)
+    # ``after`` is the asteroidal triple the parent G branched on, so G is
+    # chordal, and so is this node G - v: a hole in G - v is a hole in G. By
+    # Lekkerkerker and Boland a chordal graph is interval iff it has no
+    # asteroidal triple: with budget to branch, the scan alone decides it.
+    # An asteroidal triple of G - v is one of G (v's removal keeps the three
+    # pairwise non-adjacent and only removes paths), so the node's first
+    # triple is not before its parent's and the scan resumes there.
+    known = after is not None and d > 0
+    verdict = None if known else interval(live)
     if verdict:
         return 0
     if d > 0:
-        # A hole in G - v is a hole in G, so the children of a chordal node
-        # are chordal; ``chordal`` carries that down and spares them MCS. On
-        # the graph test's verdicts it starts true: they are None on a hole.
-        chordal = chordal or _peo_cliques(adj, _mcs_order(adj, live)) is not None
-        if chordal and verdict is not None:
-            witness = _asteroidal_witness(adj, live)
-            assert witness is not None, "chordal non-interval graph must contain an asteroidal triple"
+        if known:
+            found = _asteroidal_witness(adj, live, after)
+            if found is None:
+                return 0
+        # On the graph test's verdicts (``chordal``) None marks a hole; on a
+        # stand-in's, MCS tells.
+        elif verdict is not None if chordal else _peo_cliques(adj, _mcs_order(adj, live)) is not None:
+            found = _asteroidal_witness(adj, live)
+            assert found is not None, "chordal non-interval graph must contain an asteroidal triple"
         else:
             hole = _shortest_hole(adj, live)
             assert hole is not None, "non-chordal graph must contain a hole"
-            witness = sum(1 << v for v in hole)
+            found = sum(1 << v for v in hole), None
+        witness, after = found
         # Any feasible deletion set must meet the witness; one avoiding the
         # forbidden vertices must meet its allowed part.
         for v in _bits(witness & ~forbidden):
-            sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, failed, chordal)
+            sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, failed, chordal, after)
             if sub is not None:
                 return sub | 1 << v
     failed[live] = counter[0] - start

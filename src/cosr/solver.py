@@ -26,14 +26,15 @@ row per child and lowers the budget, and a node with no budget left has no
 children, so the branch tree has at most 4^d internal splits. When no rule
 applies, the identity augmentation turns the node's rows into the clique
 matrix of its derived graph and the residue is solved exactly as interval
-vertex deletion. Row deletion keeps that correspondence, so the leaf
-search tests its live rows for consecutive ones instead of testing the
-graph for intervality. A solve builds one augmented graph for its leaves
+vertex deletion. Row deletion keeps that correspondence, so the leaf search
+tests its live rows for consecutive ones, not the graph for intervality;
+below a chordal node, a scan for asteroidal triples resumed at its parent's
+stands in for that test. A solve builds one augmented graph for its leaves
 (two, when some keep a row labelled -n..-1 and some do not), as adjacency
-masks and a map from graph to row positions; each leaf searches it from
-its own live mask, and the leaves on one graph share one memo of failed
-deletion sets. Every layer below ``cos_r`` takes and returns positions,
-and labels only break ties; only the ``on_leaf`` hook gets a leaf matrix.
+masks and a map from graph to row positions; each leaf searches it from its
+own live mask, and the leaves on one graph share one memo of failed deletion
+sets. Every layer below ``cos_r`` takes and returns positions, and labels
+only break ties; only the ``on_leaf`` hook gets a leaf matrix.
 """
 
 from __future__ import annotations

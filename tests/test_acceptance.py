@@ -388,6 +388,8 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     import subprocess
     import sys
 
+    import cosr
+
     m1 = tmp_path / "m1.txt"
     m1.write_text("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
     c4 = tmp_path / "c4.txt"
@@ -403,6 +405,8 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
         ["convex-bipartite", "--d", "1", str(bip)],
         ["gen", "--rows", "6", "--cols", "7", "--density", "0.5", "--seed", "3"],
     ]
+    # The fresh interpreters import the package under test, wherever pytest found it.
+    src = os.path.dirname(os.path.dirname(cosr.__file__))
     differing = 0
     for argv in invocations:
         # in-process reruns plus fresh interpreters under different hash
@@ -412,7 +416,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
             code = cli_run(argv)
             outputs.append((code, capsys.readouterr().out.encode()))
         for hash_seed in ("0", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             proc = subprocess.run(
                 [sys.executable, "-m", "cosr.cli", *argv],
                 capture_output=True,

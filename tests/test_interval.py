@@ -288,7 +288,7 @@ def test_asteroidal_witness_matches_the_all_labels_version():
                 adj[u] = adj[u] & ~(1 << v) | (adj[v] >> u & 1) << v
         live = rng.getrandbits(n) | rng.getrandbits(n)
         triple, want = _all_labels_witness(adj, live)
-        assert _asteroidal_witness(adj, live) == want
+        assert _asteroidal_witness(adj, live) == (None if triple is None else (want, triple))
         if triple is None:
             continue
         found += 1
@@ -298,6 +298,88 @@ def test_asteroidal_witness_matches_the_all_labels_version():
             assert _joined_avoiding(adj, live, s, t, z)
         assert want & ~live == 0 and want >> a & want >> b & want >> c & 1
     assert found > 500
+
+
+def _random_adj(rng, n, p):
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def test_resumed_scan_matches_a_fresh_scan():
+    # Lemma at _branch: an asteroidal triple of G - v is one of G, so the
+    # first triple of G - v is not before G's, and a scan of G - v resumed
+    # at G's first triple finds what a fresh scan finds. Every live v is
+    # removed, on the triple, on its paths or elsewhere.
+    from cosr.interval import _asteroidal_witness
+
+    rng = random.Random(83)
+    checks = kept = later_a = 0
+    for _ in range(1500):
+        n = rng.randint(6, 14)
+        adj = _random_adj(rng, n, rng.choice((0.15, 0.2, 0.3, 0.4)))
+        live = ((1 << n) - 1) & ~rng.getrandbits(n) if rng.random() < 0.5 else (1 << n) - 1
+        found = _asteroidal_witness(adj, live)
+        if found is None:
+            continue
+        _, after = found
+        for v in range(n):
+            if not live >> v & 1:
+                continue
+            child = live & ~(1 << v)
+            fresh = _asteroidal_witness(adj, child)
+            assert _asteroidal_witness(adj, child, after) == fresh
+            checks += 1
+            if fresh is not None:
+                assert fresh[1] >= after
+                kept += fresh[1] == after
+                later_a += fresh[1][0] > after[0]
+    # Both resume bounds are exercised: children keeping the parent's
+    # triple, and children whose first triple starts at a later a.
+    assert checks > 3000 and kept > 300 and later_a > 300, (checks, kept, later_a)
+
+
+def _random_chordal_adj(rng, n):
+    """A chordal graph built by adding each vertex on a clique of the ones
+    before it, then placed at shuffled positions: the reverse of the
+    insertion order is a perfect elimination order."""
+    adj = [0] * n
+    for v in range(1, n):
+        clique = 0
+        for u in rng.sample(range(v), rng.randint(1, min(v, 3))):
+            if adj[u] & clique == clique:
+                clique |= 1 << u
+        adj[v] = clique
+        for u in range(v):
+            adj[u] |= (clique >> u & 1) << v
+    place = rng.sample(range(n), n)
+    moved = [0] * n
+    for v in range(n):
+        for u in range(n):
+            moved[place[v]] |= (adj[v] >> u & 1) << place[u]
+    return moved
+
+
+def test_chordal_graphs_are_interval_iff_they_have_no_asteroidal_triple():
+    # Lekkerkerker and Boland: the stand-in that decides the known-chordal
+    # nodes of _branch agrees with the graph test on chordal graphs.
+    from cosr.interval import _asteroidal_witness, _chordal_interval
+
+    rng = random.Random(89)
+    verdicts = []
+    for _ in range(2500):
+        n = rng.randint(1, 14)
+        adj = _random_chordal_adj(rng, n)
+        live = ((1 << n) - 1) & ~rng.getrandbits(n) if rng.random() < 0.5 else (1 << n) - 1
+        verdict = _chordal_interval(adj, live)
+        assert verdict is not None
+        assert (_asteroidal_witness(adj, live) is None) == verdict
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
 
 def _hole_with_spider(rng):
@@ -327,8 +409,8 @@ def _hole_with_spider(rng):
 
 def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
     # A hole in G - v is a hole in G, so the children of a chordal node skip
-    # MCS. Passing no flag down runs MCS at every branch node, as before the
-    # skip; the counts also take in the graph test's own MCS runs.
+    # MCS. Passing no flag or triple down runs MCS at every branch node, as
+    # before the skip; the counts also take in the graph test's own MCS runs.
     import cosr.interval as iv
     from cosr import is_chordal
 
@@ -361,9 +443,10 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
 
 
 def _memo_free_branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False):
-    """``_branch`` as it was before it remembered failed nodes or read
-    chordality from the graph test: MCS at each node not yet known to be
-    chordal, and ``failed`` left unread."""
+    """``_branch`` as it was before it remembered failed nodes, read
+    chordality from the graph test or resumed its parent's asteroidal-triple
+    scan: the interval test and a fresh scan at each node, MCS at each node
+    not yet known to be chordal, and ``failed`` left unread."""
     import cosr.interval as iv
     from cosr.matrix import _bits
 
@@ -376,7 +459,7 @@ def _memo_free_branch(adj, live, d, forbidden, counter, limit, interval, failed,
         return None
     chordal = chordal or iv._peo_cliques(adj, iv._mcs_order(adj, live)) is not None
     if chordal:
-        witness = iv._asteroidal_witness(adj, live)
+        witness, _ = iv._asteroidal_witness(adj, live)
     else:
         witness = sum(1 << v for v in iv._shortest_hole(adj, live))
     for v in _bits(witness & ~forbidden):
@@ -418,10 +501,10 @@ def test_failed_node_memo_matches_the_memo_free_search(monkeypatch):
     out_on_hit = [0]
     branch = iv._branch
 
-    def spying(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False):
+    def spying(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False, after=None):
         hit = live in failed  # a hit returns at once, so only a hit's own frame counts
         try:
-            return branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal)
+            return branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal, after)
         except iv._NodeBudgetExceeded:
             out_on_hit[0] += hit
             raise
