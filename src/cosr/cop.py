@@ -234,10 +234,8 @@ def _cop_positions(rows: Iterable[int], n: int) -> list[int] | None:
         start = (unseen & -unseen).bit_length() - 1
         unseen ^= 1 << start
         order = [start]
-        head = 0
-        while head < len(order):
-            fresh = adj[order[head]] & unseen
-            head += 1
+        for i in order:  # the loop reaches what it appends
+            fresh = adj[i] & unseen
             if fresh:
                 unseen ^= fresh
                 order.extend(_bits(fresh))

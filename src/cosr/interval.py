@@ -7,21 +7,21 @@ exact branch-and-search: it branches over an obstruction witness (a
 shortest chordless cycle, or the paths of an asteroidal triple) and
 falls back to exhaustive subset search if the branch tree outgrows a
 node budget, so the answer is exact regardless of input shape. The
-search works on the input graph's adjacency masks and a mask of the
-vertex positions still present; positions ascend with labels, so every
-"smallest label first" tie-break is a "lowest bit first" one. It asks an
-interval test on that mask, which the d-COS-R solver replaces by a
-consecutive-ones test of its leaf matrix; MCS then only picks the witness,
-until a node is chordal: its descendants are too, and skip it (the graph
-test's own verdict says which nodes are); below it, a scan for asteroidal
-triples, resumed at the parent's triple, stands in for the test wherever
-budget is left. Failed nodes are remembered with their subtree sizes, so a
-deletion set reached again is not searched again.
-The search takes and returns position masks, from a start mask and with a
-memo that the caller owns: the d-COS-R solver searches one graph per solve
-and identity shift from each leaf's live mask, with one memo per graph.
-``interval_deletion`` and ``minimalize_solution`` turn labels into
-positions and back.
+search works on the input graph's adjacency masks, and a node is the mask
+of the vertex positions still present, which also fixes its budget;
+positions ascend with labels, so every "smallest label first" tie-break is
+a "lowest bit first" one. It asks an interval test on that mask, which the
+d-COS-R solver replaces by a consecutive-ones test of its leaf matrix; MCS
+then only picks the witness, until a node is chordal: its descendants are
+too, and skip it (the graph test's own verdict says which nodes are);
+below it, a scan for asteroidal triples, resumed at the parent's triple,
+stands in for the test wherever budget is left. Failed nodes are
+remembered with their subtree sizes, so a deletion set reached again is
+not searched again. The search takes and returns position masks, from a
+start mask and with a memo that the caller owns: the d-COS-R solver
+searches one graph per solve and identity shift from each leaf's live
+mask, with one memo per graph. ``interval_deletion`` and
+``minimalize_solution`` turn labels into positions and back.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _asteroidal_witness(adj: list[int], live: int, after: _Triple = (0, 0, 0)) -
     pair is joined by a path avoiding the closed neighborhood of the
     third; interval graphs contain none, so any feasible deletion set
     must meet the witness vertex set returned here. Triples are tried in
-    lexicographic order of position, from ``after`` on (see ``_branch``).
+    lexicographic order of position, from ``after`` on (see ``branch``).
 
     For a and b outside N[c], an a-b path avoiding N[c] exists iff a and
     b lie in one component of G - N[c]. So per pair a < b, only the c > b
@@ -199,61 +199,6 @@ class _NodeBudgetExceeded(Exception):
     pass
 
 
-def _branch(
-    adj: list[int], live: int, d: int, forbidden: int, counter: list[int], limit: int, interval: _IntervalTest,
-    failed: dict[int, int], chordal: bool = False, after: _Triple | None = None,
-) -> int | None:
-    # Lemma: for one ``failed`` memo, adj, forbidden and the interval test
-    # are fixed, and each branch edge removes one vertex and one unit of
-    # budget, so d is a function of live (the caller that shares a memo
-    # between calls keeps this so). ``chordal`` and ``after`` pick the tests,
-    # not the witness: a shortest hole, else the first asteroidal triple. So
-    # a live that failed once fails again after the same number of nodes,
-    # which ``failed`` holds; if they pass ``limit``, so does the search
-    # without the memo, inside that subtree.
-    start = counter[0]
-    counter[0] += failed.get(live, 1)
-    if counter[0] > limit:
-        counter[0] = limit + 1
-        raise _NodeBudgetExceeded
-    if live in failed:
-        return None
-    # ``after`` is the asteroidal triple the parent G branched on, so G is
-    # chordal, and so is this node G - v: a hole in G - v is a hole in G. By
-    # Lekkerkerker and Boland a chordal graph is interval iff it has no
-    # asteroidal triple: with budget to branch, the scan alone decides it.
-    # An asteroidal triple of G - v is one of G (v's removal keeps the three
-    # pairwise non-adjacent and only removes paths), so the node's first
-    # triple is not before its parent's and the scan resumes there.
-    known = after is not None and d > 0
-    verdict = None if known else interval(live)
-    if verdict:
-        return 0
-    if d > 0:
-        if known:
-            found = _asteroidal_witness(adj, live, after)
-            if found is None:
-                return 0
-        # On the graph test's verdicts (``chordal``) None marks a hole; on a
-        # stand-in's, MCS tells.
-        elif verdict is not None if chordal else _peo_cliques(adj, _mcs_order(adj, live)) is not None:
-            found = _asteroidal_witness(adj, live)
-            assert found is not None, "chordal non-interval graph must contain an asteroidal triple"
-        else:
-            hole = _shortest_hole(adj, live)
-            assert hole is not None, "non-chordal graph must contain a hole"
-            found = sum(1 << v for v in hole), None
-        witness, after = found
-        # Any feasible deletion set must meet the witness; one avoiding the
-        # forbidden vertices must meet its allowed part.
-        for v in _bits(witness & ~forbidden):
-            sub = _branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, failed, chordal, after)
-            if sub is not None:
-                return sub | 1 << v
-    failed[live] = counter[0] - start
-    return None
-
-
 def _subset_search(live: int, d: int, forbidden: int, interval: _IntervalTest) -> int | None:
     allowed = list(_bits(live & ~forbidden))
     for k in range(min(d, len(allowed)) + 1):
@@ -289,23 +234,73 @@ def _interval_deletion(
     """``interval_deletion`` over positions: the deletion mask for the
     subgraph induced on ``start``, never holding a ``forbidden`` position,
     plus the number of branch nodes the search without the memo would run
-    and whether it fell back to the exhaustive subset search.
-    ``interval`` is the graph test, or a stand-in that agrees with it on
-    every deletion set outside ``forbidden``; ``chordal`` says its verdicts
-    are None exactly on the nodes with a hole, as the graph test's are.
-    ``failed`` is the memo of failed nodes; a caller may share one memo
-    between calls that agree on adj, ``forbidden`` and ``interval`` and on
-    the budget each live mask gets."""
+    and whether it fell back to the exhaustive subset search. ``interval``
+    is the graph test, or a stand-in that agrees with it on every deletion
+    set outside ``forbidden``; ``chordal`` says its verdicts are None
+    exactly on the nodes with a hole, as the graph test's are. A branch node
+    is its live mask: its budget is d less the positions of ``start`` it
+    lacks. ``failed`` is the memo of failed nodes; a caller may share one
+    memo between calls that agree on adj, ``forbidden`` and ``interval`` and
+    on the budget each live mask gets."""
     if d < 0:
         return None, 0, False
-    counter, fell_back = [0], False
+    nodes = 0
+
+    def branch(live: int, after: _Triple | None) -> int | None:
+        # Lemma: within one search adj, forbidden, the interval test and
+        # ``chordal`` are fixed, and the budget is a function of live. ``after``
+        # picks the tests, not the witness: a shortest hole, else the first
+        # asteroidal triple. So a live that failed once fails again after the
+        # same number of nodes, which ``failed`` holds; if they pass the node
+        # limit, so does the search without the memo, inside that subtree.
+        nonlocal nodes
+        budget, first = d - (start & ~live).bit_count(), nodes
+        nodes += failed.get(live, 1)
+        if nodes > _NODE_LIMIT:
+            nodes = _NODE_LIMIT + 1
+            raise _NodeBudgetExceeded
+        if live in failed:
+            return None
+        # ``after`` is the asteroidal triple the parent G branched on, so G is
+        # chordal, and so is this node G - v: a hole in G - v is a hole in G.
+        # By Lekkerkerker and Boland a chordal graph is interval iff it has no
+        # asteroidal triple: with budget to branch, the scan alone decides it.
+        # An asteroidal triple of G - v is one of G (v's removal keeps the
+        # three pairwise non-adjacent and only removes paths), so the node's
+        # first triple is not before its parent's and the scan resumes there.
+        known = after is not None and budget > 0
+        verdict = None if known else interval(live)
+        if verdict:
+            return 0
+        if budget > 0:
+            if known:
+                found = _asteroidal_witness(adj, live, after)
+                if found is None:
+                    return 0
+            # On the graph test's verdicts (``chordal``) None marks a hole; on
+            # a stand-in's, MCS tells.
+            elif verdict is not None if chordal else _peo_cliques(adj, _mcs_order(adj, live)) is not None:
+                found = _asteroidal_witness(adj, live)
+                assert found is not None, "chordal non-interval graph must contain an asteroidal triple"
+            else:
+                hole = _shortest_hole(adj, live)
+                assert hole is not None, "non-chordal graph must contain a hole"
+                found = sum(1 << v for v in hole), None
+            witness, after = found
+            # Any feasible deletion set must meet the witness; one avoiding
+            # the forbidden vertices must meet its allowed part.
+            for v in _bits(witness & ~forbidden):
+                sub = branch(live & ~(1 << v), after)
+                if sub is not None:
+                    return sub | 1 << v
+        failed[live] = nodes - first
+        return None
+
     try:
-        solution = _branch(adj, start, d, forbidden, counter, _NODE_LIMIT, interval, failed, chordal)
+        solution, fell_back = branch(start, None), False
     except _NodeBudgetExceeded:
         solution, fell_back = _subset_search(start, d, forbidden, interval), True
-    if solution is not None:
-        solution = _minimalize(start, solution, interval)
-    return solution, counter[0], fell_back
+    return (None if solution is None else _minimalize(start, solution, interval)), nodes, fell_back
 
 
 def _minimalize(everything: int, drop: int, interval: _IntervalTest) -> int:

@@ -18,23 +18,24 @@ is tested for consecutive ones first, since a rule-1 hit refutes them:
 
 A search node is the input minus the rows deleted on its path, held as a
 mask of live row positions over one row incidence, built once the root's
-test fails. Rules 1-3 and step 0 read the rows through the mask: rule 1
-reads one candidate mask per row, and one pass over the column pairs
-decides rules 2 and 3. The children of a rule-3 node skip that pass: they
-inherit its maximal cliques, less the deleted row. Each rule deletes one
-row per child and lowers the budget, and a node with no budget left has no
-children, so the branch tree has at most 4^d internal splits. When no rule
-applies, the identity augmentation turns the node's rows into the clique
-matrix of its derived graph and the residue is solved exactly as interval
-vertex deletion. Row deletion keeps that correspondence, so the leaf search
-tests its live rows for consecutive ones, not the graph for intervality;
-below a chordal node, a scan for asteroidal triples resumed at its parent's
-stands in for that test. A solve builds one augmented graph for its leaves
-(two, when some keep a row labelled -n..-1 and some do not), as adjacency
-masks and a map from graph to row positions; each leaf searches it from its
-own live mask, and the leaves on one graph share one memo of failed deletion
-sets. Every layer below ``cos_r`` takes and returns positions, and labels
-only break ties; only the ``on_leaf`` hook gets a leaf matrix.
+test fails; the mask is the whole node, and its budget is d less the rows
+it lacks. Rules 1-3 and step 0 read the rows through the mask: rule 1 reads
+one candidate mask per row, and one pass over the column pairs decides
+rules 2 and 3. The children of a rule-3 node skip that pass: they inherit
+its maximal cliques, less the deleted row. Each rule deletes one row per
+child, and a node with no budget left has no children, so the branch tree
+has at most 4^d internal splits. When no rule applies, the identity
+augmentation turns the node's rows into the clique matrix of its derived
+graph and the residue is solved exactly as interval vertex deletion. Row
+deletion keeps that correspondence, so the leaf search tests its live rows
+for consecutive ones, not the graph for intervality; below a chordal node,
+a scan for asteroidal triples resumed at its parent's stands in for that
+test. A solve builds one augmented graph for its leaves (two, when some
+keep a row labelled -n..-1 and some do not), as adjacency masks and a map
+from graph to row positions; each leaf searches it from its own live mask,
+and the leaves on one graph share one memo of failed deletion sets. Every
+layer below ``cos_r`` takes and returns positions, and labels only break
+ties; only the ``on_leaf`` hook gets a leaf matrix.
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ def _solve(
     if positions is not None:
         return 0, positions
     cols, meets, cand = _incidence(M.rows, M.n)
-    stack: list[tuple[int, int, int, Collection[int] | None]] = [(full, d, 0, None)]
+    stack: list[tuple[int, int, Collection[int] | None]] = [(full, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:
-        live, budget, helly_start, cliques = stack.pop()
+        live, helly_start, cliques = stack.pop()
+        budget = d - (full ^ live).bit_count()  # ``full ^ live`` are the rows deleted on its path
         # Rule 1's resumed scan goes first, then step 0 below the root: rows
         # with the property are intervals of one column order, and
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
@@ -222,7 +224,7 @@ def _solve(
             # Popped in ascending label order, each subtree before the next;
             # a node with no budget left has no children.
             for p in sorted(branch, key=ids.__getitem__, reverse=True) if budget else ():
-                stack.append((live & ~(1 << p), budget - 1, child_start, inherited))
+                stack.append((live & ~(1 << p), child_start, inherited))
             continue
 
         # Step 5: no rule applies; the augmented matrix is the clique matrix
@@ -258,9 +260,11 @@ def _solve(
         # equal budget (d minus the rows deleted), equal forbidden set, equal
         # interval test and equal label order, so every leaf of this solve
         # on that graph may share one memo of failed nodes.
+        # ``start``'s rows just failed step 0 (at the root, or after a clean Helly scan): no COP.
         removed, nodes, fell_back = _interval_deletion(
             adj, start, budget, identity,
-            lambda live: _cop_positions([rows[p] for p in _bits(live)], M.n) is not None, failed, False)
+            lambda live: live != start and _cop_positions([rows[p] for p in _bits(live)], M.n) is not None,
+            failed, False)
         stats.leaf_nodes += nodes
         stats.leaf_fallbacks += fell_back
         # Step 6: ``at`` takes ``removed`` back to positions of M. By the

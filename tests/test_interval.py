@@ -195,17 +195,32 @@ def test_forbidden_is_keyword_only():
         interval_deletion(cycle(4), 1, 0)
 
 
-def _positional(g, d, forbidden=frozenset(), stand_in=True):
-    """``_interval_deletion`` on all of g with a fresh memo, its deletion
-    mask read back as labels. With ``stand_in`` the graph test comes in as
-    the stand-in that the solver's leaf hands in, so MCS runs in _branch;
-    without it the search reads chordality from the graph test's verdicts,
-    as ``interval_deletion`` does."""
+def _positional(g, d, forbidden=frozenset(), stand_in=True, failed=None):
+    """``_interval_deletion`` on all of g with a fresh memo, or ``failed``,
+    its deletion mask read back as labels. With ``stand_in`` the graph test
+    comes in as the stand-in that the solver's leaf hands in, so MCS runs in
+    the search; without it the search reads chordality from the graph
+    test's verdicts, as ``interval_deletion`` does."""
     import cosr.interval as iv
 
     removed, nodes, fell_back = iv._interval_deletion(
-        g._adj, (1 << g.n) - 1, d, iv._mask(g, forbidden), partial(iv._chordal_interval, g._adj), {}, not stand_in)
+        g._adj, (1 << g.n) - 1, d, iv._mask(g, forbidden), partial(iv._chordal_interval, g._adj),
+        {} if failed is None else failed, not stand_in)
     return None if removed is None else g.labels(removed), nodes, fell_back
+
+
+class _LoggedMemo(dict):
+    """A memo of failed nodes that logs each lookup as (live, hit): every
+    node of the search asks ``get(live, 1)`` once, and a memo hit is a
+    ``get`` that finds its key."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, live, default=None):
+        self.log.append((live, live in self))
+        return super().get(live, default)
 
 
 def test_node_budget_fallback_is_reported(monkeypatch):
@@ -311,10 +326,10 @@ def _random_adj(rng, n, p):
 
 
 def test_resumed_scan_matches_a_fresh_scan():
-    # Lemma at _branch: an asteroidal triple of G - v is one of G, so the
-    # first triple of G - v is not before G's, and a scan of G - v resumed
-    # at G's first triple finds what a fresh scan finds. Every live v is
-    # removed, on the triple, on its paths or elsewhere.
+    # Lemma at the leaf search: an asteroidal triple of G - v is one of G,
+    # so the first triple of G - v is not before G's, and a scan of G - v
+    # resumed at G's first triple finds what a fresh scan finds. Every live v
+    # is removed, on the triple, on its paths or elsewhere.
     from cosr.interval import _asteroidal_witness
 
     rng = random.Random(83)
@@ -366,7 +381,7 @@ def _random_chordal_adj(rng, n):
 
 def test_chordal_graphs_are_interval_iff_they_have_no_asteroidal_triple():
     # Lekkerkerker and Boland: the stand-in that decides the known-chordal
-    # nodes of _branch agrees with the graph test on chordal graphs.
+    # nodes of the leaf search agrees with the graph test on chordal graphs.
     from cosr.interval import _asteroidal_witness, _chordal_interval
 
     rng = random.Random(89)
@@ -409,8 +424,10 @@ def _hole_with_spider(rng):
 
 def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
     # A hole in G - v is a hole in G, so the children of a chordal node skip
-    # MCS. Passing no flag or triple down runs MCS at every branch node, as
-    # before the skip; the counts also take in the graph test's own MCS runs.
+    # MCS. The memo-free search with MCS at every branch node runs it as the
+    # search did before the skip, and by the memo's lemma it gives the same
+    # answers and node counts; the counts also take in the graph test's own
+    # MCS runs.
     import cosr.interval as iv
     from cosr import is_chordal
 
@@ -430,8 +447,7 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
     rng = random.Random(67)
     graphs = [_hole_with_spider(rng) for _ in range(40)]
     skipping, fewer = runs(graphs)
-    plain = iv._branch
-    monkeypatch.setattr(iv, "_branch", lambda *args: plain(*args[:8]))
+    monkeypatch.setattr(iv, "_interval_deletion", _memo_free_search(everywhere=True))
     everywhere, more = runs(graphs)
     assert skipping == everywhere and fewer < more, (fewer, more)
     for g, found in zip(graphs, skipping):
@@ -442,42 +458,64 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
             assert s is None or (len(s) <= d and is_interval(g.without(s)))
 
 
-def _memo_free_branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False):
-    """``_branch`` as it was before it remembered failed nodes, read
+def _memo_free_branch(adj, live, d, forbidden, counter, interval, chordal=False, everywhere=False):
+    """The leaf search as it was before it remembered failed nodes, read
     chordality from the graph test or resumed its parent's asteroidal-triple
-    scan: the interval test and a fresh scan at each node, MCS at each node
-    not yet known to be chordal, and ``failed`` left unread."""
+    scan: the interval test and a fresh scan at each node, and MCS at each
+    node not yet known to be chordal, or with ``everywhere`` at each node.
+    ``counter`` counts the nodes against the node limit."""
     import cosr.interval as iv
     from cosr.matrix import _bits
 
     counter[0] += 1
-    if counter[0] > limit:
+    if counter[0] > iv._NODE_LIMIT:
         raise iv._NodeBudgetExceeded
     if interval(live):
         return 0
     if d <= 0:
         return None
-    chordal = chordal or iv._peo_cliques(adj, iv._mcs_order(adj, live)) is not None
+    chordal = chordal and not everywhere or iv._peo_cliques(adj, iv._mcs_order(adj, live)) is not None
     if chordal:
         witness, _ = iv._asteroidal_witness(adj, live)
     else:
         witness = sum(1 << v for v in iv._shortest_hole(adj, live))
     for v in _bits(witness & ~forbidden):
-        sub = _memo_free_branch(adj, live & ~(1 << v), d - 1, forbidden, counter, limit, interval, failed, chordal)
+        sub = _memo_free_branch(adj, live & ~(1 << v), d - 1, forbidden, counter, interval, chordal, everywhere)
         if sub is not None:
             return sub | 1 << v
     return None
 
 
+def _memo_free_search(everywhere=False):
+    """A stand-in for ``_interval_deletion`` that runs ``_memo_free_branch``
+    from ``start`` under the same node limit, node count and fallback, and
+    leaves the caller's memo unread."""
+    import cosr.interval as iv
+
+    def search(adj, start, d, forbidden, interval, failed, chordal):
+        if d < 0:
+            return None, 0, False
+        counter = [0]
+        try:
+            solution = _memo_free_branch(adj, start, d, forbidden, counter, interval, everywhere=everywhere)
+            fell_back = False
+        except iv._NodeBudgetExceeded:
+            solution, fell_back = iv._subset_search(start, d, forbidden, interval), True
+        return (None if solution is None else iv._minimalize(start, solution, interval)), counter[0], fell_back
+
+    return search
+
+
 def test_failed_node_memo_matches_the_memo_free_search(monkeypatch):
-    # Lemma at _branch: within one search, a live mask that failed once fails
-    # again after the same number of nodes. So the memo keeps the answer, the
-    # node count and the fallback of the search without it, also where the
-    # budget runs out inside a remembered subtree. Odd cases hand the graph
-    # test in as a stand-in, which runs MCS in _branch as the solver's leaf does.
-    # What runs after the branch is the same code on both sides, so the
-    # branch's own deletion set is compared unminimalized, and a stub that
-    # finds nothing stands in for the subset search after a fallback.
+    # Lemma at the leaf search: within one search, a live mask that failed
+    # once fails again after the same number of nodes. So the memo keeps the
+    # answer, the node count and the fallback of the search without it, also
+    # where the budget runs out inside a remembered subtree. Odd cases hand
+    # the graph test in as a stand-in, which runs MCS in the search as the
+    # solver's leaf does. What runs after the branch is the same code on both
+    # sides, so the branch's own deletion set is compared unminimalized, and a
+    # stub that finds nothing stands in for the subset search after a
+    # fallback.
     import cosr.interval as iv
 
     monkeypatch.setattr(iv, "_minimalize", lambda everything, drop, interval: drop)
@@ -491,38 +529,36 @@ def test_failed_node_memo_matches_the_memo_free_search(monkeypatch):
         g = Graph(labels, [(u, v) for j, u in enumerate(labels) for v in labels[j + 1:] if rng.random() < p])
         cases.append((g, frozenset(rng.sample(labels, rng.randint(0, min(2, n)))), i % 2))
 
+    out_on_hit, lookups = [0], []
+
     def run():
         out = []
         for limit in (1, 3, 7, 20, 200_000):
             monkeypatch.setattr(iv, "_NODE_LIMIT", limit)
-            out += [_positional(g, d, forbidden, stand_in) for g, forbidden, stand_in in cases for d in range(4)]
+            for g, forbidden, stand_in in cases:
+                for d in range(4):
+                    lookups.clear()
+                    out.append(_positional(g, d, forbidden, stand_in, _LoggedMemo(lookups)))
+                    # The node that passes the limit raises right after its
+                    # lookup, so the last lookup says whether it was a hit.
+                    # The memo-free search looks nothing up.
+                    if out[-1][2] and lookups:
+                        out_on_hit[0] += lookups[-1][1]
         return out
 
-    out_on_hit = [0]
-    branch = iv._branch
-
-    def spying(adj, live, d, forbidden, counter, limit, interval, failed, chordal=False, after=None):
-        hit = live in failed  # a hit returns at once, so only a hit's own frame counts
-        try:
-            return branch(adj, live, d, forbidden, counter, limit, interval, failed, chordal, after)
-        except iv._NodeBudgetExceeded:
-            out_on_hit[0] += hit
-            raise
-
-    with monkeypatch.context() as patch:
-        patch.setattr(iv, "_branch", spying)
-        remembered = run()
-    monkeypatch.setattr(iv, "_branch", lambda *args: _memo_free_branch(*args[:8]))
+    remembered = run()
+    monkeypatch.setattr(iv, "_interval_deletion", _memo_free_search())
     assert remembered == run()
     assert out_on_hit[0] > 0 and sum(fell_back for _, _, fell_back in remembered) > 1000
 
 
 def test_public_path_reads_chordality_from_the_graph_test(monkeypatch):
     # The graph test runs MCS and the PEO test itself, so without a stand-in
-    # its verdict tells _branch whether a node is chordal (False) or has a
-    # hole (None), and _branch runs MCS no more. With the graph test handed in
-    # as a stand-in, _branch runs MCS as the solver's leaf does. Both take the
-    # same witnesses, so they visit the same nodes. The graphs are those of
+    # its verdict tells the search whether a node is chordal (False) or has a
+    # hole (None), and the search runs MCS no more. With the graph test handed
+    # in as a stand-in, the search runs MCS as the solver's leaf does. Both
+    # take the same witnesses, so they visit the same nodes, each of which
+    # looks its live mask up in the memo once. The graphs are those of
     # test_interval_deletion_matches_brute_force.
     import sys
 
@@ -530,25 +566,20 @@ def test_public_path_reads_chordality_from_the_graph_test(monkeypatch):
 
     rng = random.Random(23)
     graphs = [random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7))) for _ in range(120)]
-    callers, visits = [], []
-    mcs, branch = iv._mcs_order, iv._branch
+    callers, lookups = [], []
+    mcs = iv._mcs_order
 
     def counted(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return mcs(*args)
 
-    def visiting(*args):
-        visits.append(args[1])
-        return branch(*args)
-
     monkeypatch.setattr(iv, "_mcs_order", counted)
-    monkeypatch.setattr(iv, "_branch", visiting)
 
     def run(stand_in):
         callers.clear()
-        visits.clear()
-        out = [_positional(g, d, stand_in=stand_in) for g in graphs for d in range(4)]
-        return out, list(visits), callers.count("_branch")
+        lookups.clear()
+        out = [_positional(g, d, stand_in=stand_in, failed=_LoggedMemo(lookups)) for g in graphs for d in range(4)]
+        return out, [live for live, _ in lookups], callers.count("branch")
 
     told, told_visits, told_runs = run(False)
     asked, asked_visits, asked_runs = run(True)

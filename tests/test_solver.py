@@ -667,6 +667,29 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
     assert (tests[0], masks[0], nodes) == (269, 259, 3302)
 
 
+def test_every_leaf_starts_from_rows_without_the_property(monkeypatch):
+    # Lemma at the solver's stand-in: a leaf's live rows have just failed
+    # step 0, at the root or after a clean Helly scan, so the stand-in
+    # answers False at ``start`` without a test. Checked on every leaf of the
+    # corpus and the cores: its rows fail ``_cop_positions``, and the graph
+    # test finds its graph at ``start`` not interval.
+    leaves, verdicts = [], []
+
+    def check(graph, budget, forbidden, interval, start):
+        verdicts.append(_chordal_interval(graph._adj, start))
+
+    _recording_leaf(monkeypatch, check)
+    cases = list(_core_solves())
+    for i in range(168):
+        for k, density in enumerate((0.3, 0.5, 0.7)):
+            M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
+            cases += [(M, d) for d in range(4)]
+    for M, d in cases:
+        cos_r(M, d, on_leaf=lambda mat, b: leaves.append(mat))
+    assert len(leaves) == len(verdicts) > 400 and not any(verdicts)
+    assert all(_cop_positions(list(mat.rows), mat.n) is None for mat in leaves)
+
+
 def test_subset_search_leaves_give_the_same_answers(monkeypatch):
     # With no branch-node budget every leaf takes the exhaustive subset
     # search, which asks the same interval test.

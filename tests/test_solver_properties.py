@@ -5,7 +5,8 @@ verdicts and the optimum ignore row and column order, a duplicated row
 never lowers the optimum, every YES certificate verifies, and the answer
 is the brute-force one, and a rule-3 child's inherited cliques are the
 ones its own pair scan lists. Matrices stay at oracle sizes: m <= 10,
-n <= 12, d <= 3."""
+n <= 12, d <= 3. Planted copies of Tucker's families, whose optimum is
+known, go past those sizes."""
 
 import pytest
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from cosr import BinaryMatrix, Graph, cos_r, delete_rows, half_adjacency, verify_cop  # noqa: E402
 from cosr.graphs import _incidence, _scan_column_pairs  # noqa: E402
 from cosr.oracle import brute_cosr  # noqa: E402
+import tucker  # noqa: E402
 
 # Derandomized and without an example database, so tier-1 stays repeatable.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -150,6 +152,21 @@ def test_answers_match_brute_force(M):
     best = brute_cosr(M, MAX_D)
     assert verdicts == [best is not None and len(best) <= d for d in range(MAX_D + 1)]
     assert optimum == (None if best is None else len(best))
+
+
+@st.composite
+def tucker_copies(draw):
+    """One to three copies of Tucker's families up to k = 6 (``tucker.py``)
+    with up to three background interval rows, shuffled and labelled by a
+    drawn generator; and each copy's row labels."""
+    copies = draw(st.lists(st.sampled_from(list(tucker.families(6).values())), min_size=1, max_size=3))
+    return tucker.planted(copies, draw(st.randoms(use_true_random=False)), draw(st.integers(0, 3)))
+
+
+@PROPERTY
+@given(tucker_copies())
+def test_tucker_copies_need_one_deletion_each(drawn):
+    tucker.check_one_deletion_per_copy(*drawn)
 
 
 CORE6 = BinaryMatrix(tuple(range(1, 7)), tuple(range(1, 7)), tuple(63 ^ 1 << j for j in range(6)))
