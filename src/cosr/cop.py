@@ -10,10 +10,11 @@ assembled recursively. Every certificate is re-checked, by the
 prefix-mask test behind ``verify_cop``, before being returned.
 
 Overlaps among k distinct rows come from refining column classes by
-rows of decreasing size: a row costs the classes it touches and the
-overlap edges it adds, and a column O(log n) relabels in all, where the
-pair test costs k(k-1)/2 tests. Below ``_PAIR_TEST_BELOW`` rows the pair
-test is cheaper and is kept.
+rows of decreasing size, keeping a spanning forest of the overlap graph,
+which gives the same components and the same certificate: a row costs
+the classes it touches and one edge per component it joins, and a column
+O(log n) relabels in all, where the pair test costs k(k-1)/2 tests.
+Below ``_PAIR_TEST_BELOW`` rows the pair test is cheaper and is kept.
 
 A component's blocks form a linked list, with a map from each placed
 column to its block. A set meets exactly the blocks holding its placed
@@ -140,13 +141,15 @@ def cop_order(M: BinaryMatrix) -> tuple[int, ...] | None:
     return None if positions is None else tuple(map(M.col_ids.__getitem__, positions))
 
 
-# Below this many distinct sets the pair test is cheaper: refinement costs
-# 4-13 us more per call on the 3-5-set families the solver sends, and its
-# cost also grows with the overlap edges it fills in. Per call, pairs vs
-# refinement (2 vCPU Xeon, CPython 3.11.7): staircases 25 vs 28 us at
-# k = 16 and 139 vs 63 us at k = 32; random runs 508 vs 540 us at k = 64
-# and 1,290 vs 1,252 us at k = 96; random sets over 12 columns 751 vs
-# 901 us at k = 64 and 1,839 vs 1,808 us at k = 96.
+# Below this many distinct sets the pair test is cheaper on some families:
+# refinement costs 4-13 us more per call on the 3-5-set families the
+# solver sends, and its fixed work per set outweighs the pairs it saves
+# on short runs up to k = 64. Per _cop_positions call, pairs vs
+# refinement, best of 15 (2 vCPU Xeon, CPython 3.11.7): staircases 71 vs
+# 72 us at k = 16 and 177 vs 149 us at k = 32; runs of length 2-11 over
+# 40 columns 187 vs 215 us at k = 32, 268 vs 283 us at k = 48 and 383 vs
+# 378 us at k = 64; random sets over 12 columns 35 vs 45 us at k = 16,
+# 114 vs 91 us at k = 32 and 452 vs 183 us at k = 64.
 _PAIR_TEST_BELOW = 64
 
 
@@ -166,7 +169,9 @@ def _overlaps_by_pairs(sets: list[int]) -> list[int]:
 
 
 def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
-    """``_overlaps_by_pairs`` by refining column classes, for sets over n columns."""
+    """A spanning forest of the strict-overlap graph of ``sets`` over n
+    columns, as masks over their indices, that joins each component's
+    lowest set to the lowest set it overlaps."""
     # Visit the sets by non-increasing size, keeping the columns in classes
     # of equal membership among the sets visited so far; ``mem`` masks the
     # visited sets that hold a class.
@@ -179,13 +184,21 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
     # are OR(mem) & ~AND(mem) over the classes S touches.
     # Visiting S splits each class it touches; the smaller side takes the
     # new id (Hopcroft), so a column is relabelled O(log n) times.
+    # S is still alone in its component when visited, so one edge to each
+    # component its overlaps meet keeps a forest with the graph's
+    # components. Each edge goes to S's lowest overlap in that component,
+    # whose root then hangs under S in a union-find with path halving;
+    # ``span`` masks a root's component.
     k = len(sets)
     adj = [0] * k
+    up = [0] * k  # union-find parent, set on a visit
+    span = [0] * k  # root -> the sets of its component
     cls_of = [0] * n  # column -> class id
     cols = [(1 << n) - 1]  # class id -> its column mask
     mem = [0]  # class id -> mask of visited sets holding it
     for i in sorted(range(k), key=lambda i: -sets[i].bit_count()):
         s, bit = sets[i], 1 << i
+        up[i], span[i] = i, bit
         touched = []
         rest = s
         while rest:
@@ -198,9 +211,16 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
                 held |= mem[c]
                 common &= mem[c]
             over = held & ~common
-            adj[i] = over
-            for j in _bits(over):
+            while over:
+                low = over & -over
+                j = low.bit_length() - 1
+                adj[i] |= low
                 adj[j] |= bit
+                while up[j] != j:
+                    up[j] = j = up[up[j]]
+                over &= ~span[j]
+                up[j] = i
+                span[i] |= span[j]
         for c in touched:
             inside = cols[c] & s
             outside = cols[c] ^ inside
@@ -217,6 +237,16 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
             for p in _bits(moved):
                 cls_of[p] = len(cols)
             cols.append(moved)
+    # Lemma: let s0 be a component's lowest set and s1 the lowest set s0
+    # overlaps. The later visited of the two joins the other's component by
+    # its lowest overlap there, the other one; so s0-s1 is an edge, and s0's
+    # other neighbours have higher indices. So the breadth-first pass in
+    # ``_cop_positions`` starts at s0, takes s1 second and reaches each set
+    # through an earlier overlap, and ``_component_blocks`` first makes
+    # [s0 - s1, s0 & s1, s1 - s0] and never reverses the list. A component
+    # with COP has one block sequence up to reversal, and whether it has it
+    # does not depend on the insertion order. So the certificate, or None,
+    # is the one the whole overlap graph gives.
     return adj
 
 

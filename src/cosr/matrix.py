@@ -137,12 +137,14 @@ def parse_matrix(text: str) -> BinaryMatrix:
             no, line = next(lines)
         except StopIteration:
             raise ParseError(header_no, f"expected {m} rows, found {len(rows)}") from None
-        tokens = line.split()
-        joined = "".join(tokens)
-        # Counting is cheaper than a set per row, and rejects the +, - and _
-        # that int(_, 2) would take.
-        if len(joined) != n or joined.count("0") + joined.count("1") != n:
-            bad = next((t for t in tokens if t not in ("0", "1")), line)
+        # A row of n characters is taken as it is; whitespace in it fails the
+        # check below. Deleting the bytes 0 and 1 leaves nothing exactly when
+        # every cell is 0 or 1, since no other character's UTF-8 form holds
+        # either byte; so the +, - and _ and the non-ASCII digits that
+        # int(_, 2) would take are rejected.
+        joined = line if len(line) == n else "".join(line.split())
+        if len(joined) != n or joined.encode().translate(None, b"01"):
+            bad = next((t for t in line.split() if t not in ("0", "1")), line)
             raise ParseError(no, f"expected {n} cells from {{0,1}}, got {bad!r}")
         rows.append(int(joined[::-1], 2))  # cell j is bit j
     _expect_end(lines, "row")

@@ -69,6 +69,7 @@ def corpus_run():
     bound_breaches = []
     leaves = {}
     answers = hashlib.sha256()
+    texts = hashlib.sha256()
     started = time.monotonic()
     for idx, M in enumerate(matrices):
         best = brute_cosr(M, 3)
@@ -77,6 +78,7 @@ def corpus_run():
             report = cos_r(M, d, on_leaf=lambda mat, b: grabbed.append((mat, b)))
             answers.update(report.to_text().encode())
             answers.update(repr(report.stats.as_dict()).encode())
+            texts.update(report.to_text().encode())
             for mat, b in grabbed:
                 leaves.setdefault((mat.rows, mat.n, b), mat)
             expected = best is not None and len(best) <= d
@@ -101,6 +103,7 @@ def corpus_run():
         "leaves": leaves,
         "elapsed": elapsed,
         "answers_sha256": answers.hexdigest(),
+        "texts_sha256": texts.hexdigest(),
     }
 
 
@@ -122,7 +125,10 @@ def test_corpus_answers_are_byte_identical(corpus_run):
     # SHA-256 over each solve's to_text() then repr(stats.as_dict()), in
     # corpus order: verdicts, deleted rows, certificates and all counters.
     # A speed-up that changes none of them leaves this prefix as it is.
+    # The second hash is over to_text() alone: a change that moves only
+    # counters moves the first and keeps the second.
     assert corpus_run["answers_sha256"][:16] == "935ef60c5d8331c3"
+    assert corpus_run["texts_sha256"][:16] == "4026b4d88bb14972"
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,10 @@
 ``bench/workloads.py`` is loaded by path and each operation runs as the
 benchmark runs it, outside its timer. A solve hashes ``to_text()`` then
 ``repr(stats.as_dict())``; a ``check-cop`` run hashes its exit code, a
-newline and its standard output. The ``corpus`` workload is the matrices of
-``test_acceptance``, whose answers are pinned there.
+newline and its standard output. A solve workload also has an answer-only
+hash, over ``to_text()`` alone, so a change that moves only counters moves
+the first hash and keeps the second. The ``corpus`` workload is the
+matrices of ``test_acceptance``, whose answers are pinned there.
 """
 
 import hashlib
@@ -27,6 +29,12 @@ PINNED = {
     ("planted", 2): "2d1d3176930a4b28",
     ("recognize", 1): "986d08f69055cabd",
     ("recognize", 2): "bba4aff4c9c039e9",
+}
+PINNED_TEXTS = {
+    ("core", 1): "0bbd540577249050",
+    ("core", 2): "2f9d7ff42c78162e",
+    ("planted", 1): "bf0331feefe233fa",
+    ("planted", 2): "3a01b374f07382a6",
 }
 
 
@@ -52,9 +60,12 @@ def test_workload_answers_are_byte_identical(name, seed, capsys, monkeypatch):
         for index, _ in workload.ops:
             answers.update(_check_cop(workload.texts[index], capsys, monkeypatch).encode())
     else:
+        texts = hashlib.sha256()
         matrices = [cosr.parse_matrix(text) for text in workload.texts]
         for index, d in workload.ops:
             report = cosr.cos_r(matrices[index], d)
             answers.update(report.to_text().encode())
             answers.update(repr(report.stats.as_dict()).encode())
+            texts.update(report.to_text().encode())
+        assert texts.hexdigest()[:16] == PINNED_TEXTS[name, seed]
     assert answers.hexdigest()[:16] == PINNED[name, seed]

@@ -23,6 +23,7 @@ from cosr.cop import (
     _overlaps_by_refinement,
 )
 from cosr.graphs import _helly_scan, _incidence
+from cosr.matrix import _bits
 from cosr.oracle import brute_cop, random_instance
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
@@ -365,10 +366,29 @@ def _overlap_masks_by_definition(sets):
     ]
 
 
+def _components(adj):
+    """The connected components of an adjacency given as masks, each as a mask."""
+    comps, unseen = [], (1 << len(adj)) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = adj[low.bit_length() - 1] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        unseen &= ~comp
+        comps.append(comp)
+    return comps
+
+
 def test_overlap_builders_agree():
-    # The refinement lemma against the pair test and the definition: rows
-    # may repeat, hold at most one 1, or tie in size; k spans both sides
-    # of the pair-test cut-off, and 3-5-row families reach both builders.
+    # The pair test gives the whole overlap graph. Refinement gives a
+    # spanning forest of it: every edge it returns is an overlap, it has
+    # the graph's components and one edge fewer than sets in each, and each
+    # component's lowest set is joined to the lowest set it overlaps. Rows
+    # may repeat, hold at most one 1, or tie in size; k spans both sides of
+    # the pair-test cut-off, and 3-5-row families reach both builders.
     rng = random.Random(29)
     families = []
     for _ in range(300):
@@ -385,12 +405,43 @@ def test_overlap_builders_agree():
         families.append((sets + rng.sample(sets, min(k, 3)), n))  # duplicate rows
     families += [(list(dict.fromkeys(s)), n) for s, n in families]
     sizes = set()
+    sparser = 0
     for sets, n in families:
         want = _overlap_masks_by_definition(sets)
         assert _overlaps_by_pairs(sets) == want, (sets, n)
-        assert _overlaps_by_refinement(sets, n) == want, (sets, n)
+        got = _overlaps_by_refinement(sets, n)
+        assert all(a & ~b == 0 for a, b in zip(got, want)), (sets, n)
+        assert all(got[j] >> i & 1 for i, a in enumerate(got) for j in _bits(a)), (sets, n)
+        comps = _components(want)
+        assert _components(got) == comps, (sets, n)
+        assert sum(a.bit_count() for a in got) == 2 * (len(sets) - len(comps)), (sets, n)
+        for comp in comps:
+            if comp & comp - 1:
+                s0 = (comp & -comp).bit_length() - 1
+                s1 = want[s0] & -want[s0]
+                assert got[s0] & s1, (sets, n, s0)
+        sparser += got != want
         sizes.add(len(sets) < _PAIR_TEST_BELOW)
     assert sizes == {True, False}
+    assert sparser > 100
+
+
+def test_both_overlap_builders_give_the_same_certificates(monkeypatch):
+    # The forest lemma at _overlaps_by_refinement: whichever builder runs,
+    # _cop_positions returns the same positions, or None from both.
+    import cosr.cop
+
+    rng = random.Random(53)
+    verdicts = Counter()
+    for _ in range(600):
+        rows, n = _component_family(rng, rng.randint(2, 120))
+        answers = []
+        for cut in (10**9, 0):
+            monkeypatch.setattr(cosr.cop, "_PAIR_TEST_BELOW", cut)
+            answers.append(_cop_positions(rows, n))
+        assert answers[0] == answers[1], (rows, n)
+        verdicts[answers[0] is None] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def _insert_set_reference(blocks, s, placed, seen):
@@ -444,11 +495,12 @@ def _insert_set_reference(blocks, s, placed, seen):
     return None
 
 
-def _component_family(rng):
-    """Runs of a hidden column order, some spoiled, or random sets; k on
-    both sides of the pair-test cut-off."""
+def _component_family(rng, k=None):
+    """Runs of a hidden column order, some spoiled, or random sets; k sets,
+    by default on both sides of the pair-test cut-off."""
     n = rng.randint(3, 40)
-    k = rng.choice((rng.randint(2, 12), rng.randint(2, 12), rng.randint(_PAIR_TEST_BELOW, 90)))
+    if k is None:
+        k = rng.choice((rng.randint(2, 12), rng.randint(2, 12), rng.randint(_PAIR_TEST_BELOW, 90)))
     if rng.random() < 0.2:
         return [rng.getrandbits(n) for _ in range(k)], n
     order = list(range(n))

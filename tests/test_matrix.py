@@ -12,6 +12,7 @@ from cosr import (
     set_system,
     support,
 )
+from cosr.cli import run
 from cosr.oracle import random_instance
 
 M1_TEXT = """3 8
@@ -255,11 +256,26 @@ def test_out_of_range_row_names_the_first_offender():
         ("1 2\n-1\n", "line 2: expected 2 cells from {0,1}, got '-1'"),
         ("1 3\n0 - 1\n", "line 2: expected 3 cells from {0,1}, got '-'"),
         ("2 2\n10\n\n  22  \n", "line 4: expected 2 cells from {0,1}, got '22'"),
+        # Rows of exactly n characters, which the parser takes without
+        # splitting: a space or a tab inside, full-width and Arabic-Indic
+        # digits (int(_, 2) takes both) and a base prefix.
+        ("1 3\n0 1\n", "line 2: expected 3 cells from {0,1}, got '0 1'"),
+        ("1 3\n0\t1\n", "line 2: expected 3 cells from {0,1}, got '0\\t1'"),
+        ("1 3\n\uff10\uff11\uff10\n", "line 2: expected 3 cells from {0,1}, got '\uff10\uff11\uff10'"),
+        ("1 3\n\u0660\u0661\u0660\n", "line 2: expected 3 cells from {0,1}, got '\u0660\u0661\u0660'"),
+        ("1 3\n0b1\n", "line 2: expected 3 cells from {0,1}, got '0b1'"),
+        ("1 3\n1 \uff10 1\n", "line 2: expected 3 cells from {0,1}, got '\uff10'"),
+        ("1 3\n1\t\u0661\t0\n", "line 2: expected 3 cells from {0,1}, got '\u0661'"),
     ],
 )
-def test_parse_rejects_cells_outside_zero_one(text, message):
-    # int(_, 2) alone would take "+1", "-1", "+11" and "1_0"; the format
-    # does not. Each message names the first bad token and its line.
+def test_parse_rejects_cells_outside_zero_one(text, message, tmp_path, capsys):
+    # int(_, 2) alone would take "+1", "-1", "+11", "1_0" and non-ASCII
+    # digits; the format does not. Each message names the first bad token
+    # and its line, and check-cop exits 2 on the file.
     with pytest.raises(ParseError) as err:
         parse_matrix(text)
     assert str(err.value) == message
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check-cop", str(path)]) == 2
+    assert message in capsys.readouterr().err
