@@ -4,30 +4,28 @@ Recognition follows the Fulkerson-Gross characterization: a graph is
 interval iff it is chordal and its clique matrix (vertices x maximal
 cliques) has the consecutive ones property. The deletion solver is an
 exact branch-and-search: it branches over an obstruction witness (a
-shortest chordless cycle, or the paths of an asteroidal triple) and
-falls back to exhaustive subset search if the branch tree outgrows a
-node budget, so the answer is exact regardless of input shape. The
-search works on the input graph's adjacency masks, and a node is the mask
-of the vertex positions still present, which also fixes its budget;
-positions ascend with labels, so every "smallest label first" tie-break is
-a "lowest bit first" one. It asks an interval test on that mask, which the
-d-COS-R solver replaces by a consecutive-ones test of its leaf matrix; MCS
-then only picks the witness, until a node is chordal: its descendants are
-too, and skip it (the graph test's own verdict says which nodes are);
-below it, a scan for asteroidal triples, resumed at the parent's triple,
-stands in for the test wherever budget is left. Failed nodes are
-remembered with their subtree sizes, so a deletion set reached again is
-not searched again. The search takes and returns position masks, from a
-start mask and with a memo that the caller owns: the d-COS-R solver
-searches one graph per solve and identity shift from each leaf's live
-mask, with one memo per graph. ``interval_deletion`` and
+shortest chordless cycle, or the paths of an asteroidal triple), which
+every deletion set must meet, so the answer is exact regardless of input
+shape. The search works on the input graph's adjacency masks, and a node
+is the mask of the vertex positions still present, which also fixes its
+budget; positions ascend with labels, so every "smallest label first"
+tie-break is a "lowest bit first" one. It asks an interval test on that
+mask, which the d-COS-R solver replaces by a consecutive-ones test of its
+leaf matrix; MCS then only picks the witness, until a node is chordal: its
+descendants are too, and skip it (the graph test's own verdict says which
+nodes are); below it, a scan for asteroidal triples, resumed at the
+parent's triple, stands in for the test wherever budget is left. Failed
+nodes are remembered with their subtree sizes, so no deletion set is
+searched twice (see ``branch``). The search takes and returns position
+masks, from a start mask and with a memo that the caller owns: the d-COS-R
+solver searches one graph per solve and identity shift from each leaf's
+live mask, with one memo per graph. ``interval_deletion`` and
 ``minimalize_solution`` turn labels into positions and back.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
 from typing import Callable
 
 from .cop import _cop_positions
@@ -36,10 +34,6 @@ from .errors import ContractError
 # ``cosr.interval.is_chordal`` by name.
 from .graphs import Graph, _maximal, _mcs_order, _peo_cliques, is_chordal  # noqa: F401
 from .matrix import BinaryMatrix, _bits
-
-# Branch nodes a search may spend before it switches to the exhaustive
-# subset search; every search reads it here, so a test can patch it.
-_NODE_LIMIT = 200_000
 
 _IntervalTest = Callable[[int], bool | None]  # truthy iff the subgraph on these live positions is interval
 _Triple = tuple[int, int, int]
@@ -195,20 +189,6 @@ def _asteroidal_witness(adj: list[int], live: int, after: _Triple = (0, 0, 0)) -
     return None
 
 
-class _NodeBudgetExceeded(Exception):
-    pass
-
-
-def _subset_search(live: int, d: int, forbidden: int, interval: _IntervalTest) -> int | None:
-    allowed = list(_bits(live & ~forbidden))
-    for k in range(min(d, len(allowed)) + 1):
-        for combo in combinations(allowed, k):
-            drop = sum(1 << v for v in combo)
-            if interval(live & ~drop):
-                return drop
-    return None
-
-
 def interval_deletion(G: Graph, d: int, *, forbidden: frozenset[int] = frozenset()) -> frozenset[int] | None:
     """An inclusion-minimal set of at most ``d`` vertices whose removal
     leaves an interval graph, or None when no such set exists.
@@ -216,13 +196,11 @@ def interval_deletion(G: Graph, d: int, *, forbidden: frozenset[int] = frozenset
     Exact: None is returned only on genuinely infeasible instances. A
     negative budget is infeasible by definition. Branching explores
     witness vertices in ascending label order, so results are
-    deterministic; if the branch tree exceeds ``_NODE_LIMIT`` nodes the
-    solver restarts as an exhaustive search over deletion subsets in
-    increasing size. Vertices in ``forbidden`` are never deleted, which
+    deterministic. Vertices in ``forbidden`` are never deleted, which
     restricts the search to solutions avoiding them (None then means no
     such restricted solution exists).
     """
-    removed, _, _ = _interval_deletion(
+    removed, _ = _interval_deletion(
         G._adj, (1 << G.n) - 1, d, _mask(G, forbidden), partial(_chordal_interval, G._adj), {}, True)
     return None if removed is None else G.labels(removed)
 
@@ -230,20 +208,19 @@ def interval_deletion(G: Graph, d: int, *, forbidden: frozenset[int] = frozenset
 def _interval_deletion(
     adj: list[int], start: int, d: int, forbidden: int, interval: _IntervalTest, failed: dict[int, int],
     chordal: bool,
-) -> tuple[int | None, int, bool]:
+) -> tuple[int | None, int]:
     """``interval_deletion`` over positions: the deletion mask for the
     subgraph induced on ``start``, never holding a ``forbidden`` position,
-    plus the number of branch nodes the search without the memo would run
-    and whether it fell back to the exhaustive subset search. ``interval``
-    is the graph test, or a stand-in that agrees with it on every deletion
-    set outside ``forbidden``; ``chordal`` says its verdicts are None
-    exactly on the nodes with a hole, as the graph test's are. A branch node
-    is its live mask: its budget is d less the positions of ``start`` it
-    lacks. ``failed`` is the memo of failed nodes; a caller may share one
-    memo between calls that agree on adj, ``forbidden`` and ``interval`` and
-    on the budget each live mask gets."""
+    plus the number of branch nodes the search without the memo would run.
+    ``interval`` is the graph test, or a stand-in that agrees with it on
+    every deletion set outside ``forbidden``; ``chordal`` says its verdicts
+    are None exactly on the nodes with a hole, as the graph test's are. A
+    branch node is its live mask: its budget is d less the positions of
+    ``start`` it lacks. ``failed`` is the memo of failed nodes; a caller may
+    share one memo between calls that agree on adj, ``forbidden`` and
+    ``interval`` and on the budget each live mask gets."""
     if d < 0:
-        return None, 0, False
+        return None, 0
     nodes = 0
 
     def branch(live: int, after: _Triple | None) -> int | None:
@@ -251,14 +228,14 @@ def _interval_deletion(
         # ``chordal`` are fixed, and the budget is a function of live. ``after``
         # picks the tests, not the witness: a shortest hole, else the first
         # asteroidal triple. So a live that failed once fails again after the
-        # same number of nodes, which ``failed`` holds; if they pass the node
-        # limit, so does the search without the memo, inside that subtree.
+        # same number of nodes, which ``failed`` holds.
+        # Termination: a failed live goes into ``failed`` and a success ends
+        # the search, so each live mask is expanded at most once. A live is
+        # ``start`` less at most d of its a allowed positions, so a search
+        # expands at most sum_{k <= d} C(a, k) nodes.
         nonlocal nodes
         budget, first = d - (start & ~live).bit_count(), nodes
         nodes += failed.get(live, 1)
-        if nodes > _NODE_LIMIT:
-            nodes = _NODE_LIMIT + 1
-            raise _NodeBudgetExceeded
         if live in failed:
             return None
         # ``after`` is the asteroidal triple the parent G branched on, so G is
@@ -296,11 +273,8 @@ def _interval_deletion(
         failed[live] = nodes - first
         return None
 
-    try:
-        solution, fell_back = branch(start, None), False
-    except _NodeBudgetExceeded:
-        solution, fell_back = _subset_search(start, d, forbidden, interval), True
-    return (None if solution is None else _minimalize(start, solution, interval)), nodes, fell_back
+    solution = branch(start, None)
+    return (None if solution is None else _minimalize(start, solution, interval)), nodes
 
 
 def _minimalize(everything: int, drop: int, interval: _IntervalTest) -> int:

@@ -64,7 +64,9 @@ class SolveStats:
     rule2: int = 0
     rule3: int = 0
     leaf_nodes: int = 0  # interval-deletion branch nodes, summed over leaves
-    leaf_fallbacks: int = 0  # leaves that outgrew the node budget
+    # Always 0, as the leaf search has no fallback; kept so that ``--stats``,
+    # criterion 8 and every counter hash keep their seven keys.
+    leaf_fallbacks: int = 0
 
     @property
     def internal_nodes(self) -> int:
@@ -261,12 +263,11 @@ def _solve(
         # interval test and equal label order, so every leaf of this solve
         # on that graph may share one memo of failed nodes.
         # ``start``'s rows just failed step 0 (at the root, or after a clean Helly scan): no COP.
-        removed, nodes, fell_back = _interval_deletion(
+        removed, nodes = _interval_deletion(
             adj, start, budget, identity,
             lambda live: live != start and _cop_positions([rows[p] for p in _bits(live)], M.n) is not None,
             failed, False)
         stats.leaf_nodes += nodes
-        stats.leaf_fallbacks += fell_back
         # Step 6: ``at`` takes ``removed`` back to positions of M. By the
         # lemma the survivor has COP; its kept rows are tested in storage
         # order, as step 0 tests a node's.

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from functools import partial
@@ -146,29 +147,10 @@ def test_interval_deletion_forbidden_vertices():
     assert interval_deletion(g, 4, forbidden=frozenset({1, 2, 3, 4})) is None
 
 
-def test_subset_fallback_matches_branching(monkeypatch):
-    import cosr.interval as iv
-
-    rng = random.Random(53)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(3, 7), 0.5)
-        for d in range(3):
-            a = interval_deletion(g, d)
-            with monkeypatch.context() as patch:
-                patch.setattr(iv, "_NODE_LIMIT", 0)
-                b = interval_deletion(g, d)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert is_interval(g.without(b)) and len(b) <= d
-
-
-def test_subset_search_sizes_stop_at_the_allowed_vertices(monkeypatch):
-    # The exhaustive search tries deletion sets no larger than the allowed
-    # vertices, whatever the budget: a budget of 10**9 once looped over every
-    # size up to it before giving up.
-    import cosr.interval as iv
-
-    monkeypatch.setattr(iv, "_NODE_LIMIT", 0)
+def test_branch_search_stops_at_the_allowed_vertices():
+    # The search deletes only allowed vertices, whatever the budget: a
+    # budget of 10**9 once looped over every deletion-set size up to it
+    # before giving up.
     g = cycle(4)
     start = time.perf_counter()
     assert interval_deletion(g, 10**9, forbidden=frozenset(g.vertices)) is None
@@ -203,10 +185,10 @@ def _positional(g, d, forbidden=frozenset(), stand_in=True, failed=None):
     test's verdicts, as ``interval_deletion`` does."""
     import cosr.interval as iv
 
-    removed, nodes, fell_back = iv._interval_deletion(
+    removed, nodes = iv._interval_deletion(
         g._adj, (1 << g.n) - 1, d, iv._mask(g, forbidden), partial(iv._chordal_interval, g._adj),
         {} if failed is None else failed, not stand_in)
-    return None if removed is None else g.labels(removed), nodes, fell_back
+    return None if removed is None else g.labels(removed), nodes
 
 
 class _LoggedMemo(dict):
@@ -223,17 +205,12 @@ class _LoggedMemo(dict):
         return super().get(live, default)
 
 
-def test_node_budget_fallback_is_reported(monkeypatch):
-    import cosr.interval as iv
-
-    def run(G, d, limit):
-        monkeypatch.setattr(iv, "_NODE_LIMIT", limit)
-        return _positional(G, d)
-
-    assert run(cycle(4), 1, 200_000) == ({1}, 2, False)
-    assert run(cycle(4), 1, 0) == ({1}, 1, True)
-    assert run(two_disjoint_c4(), 1, 0) == (None, 1, True)
-    assert run(cycle(4), -1, 0) == (None, 0, False)
+def test_node_budget_fallback_is_reported():
+    # The search reports its deletion set and node count, and no fallback:
+    # its memo bounds it (see test_each_live_mask_is_expanded_at_most_once).
+    assert _positional(cycle(4), 1) == ({1}, 2)
+    assert _positional(two_disjoint_c4(), 1) == (None, 5)
+    assert _positional(cycle(4), -1) == (None, 0)
 
 
 def _all_labels_witness(adj, live):
@@ -453,8 +430,8 @@ def test_chordal_children_skip_mcs_and_change_nothing(monkeypatch):
     for g, found in zip(graphs, skipping):
         assert is_chordal(g) is None
         brute = brute_interval_deletion(g, 3)
-        assert [s is not None for s, _, _ in found] == [brute is not None and len(brute) <= d for d in range(4)]
-        for d, (s, _, _) in enumerate(found):
+        assert [s is not None for s, _ in found] == [brute is not None and len(brute) <= d for d in range(4)]
+        for d, (s, _) in enumerate(found):
             assert s is None or (len(s) <= d and is_interval(g.without(s)))
 
 
@@ -463,13 +440,11 @@ def _memo_free_branch(adj, live, d, forbidden, counter, interval, chordal=False,
     chordality from the graph test or resumed its parent's asteroidal-triple
     scan: the interval test and a fresh scan at each node, and MCS at each
     node not yet known to be chordal, or with ``everywhere`` at each node.
-    ``counter`` counts the nodes against the node limit."""
+    ``counter`` counts the nodes."""
     import cosr.interval as iv
     from cosr.matrix import _bits
 
     counter[0] += 1
-    if counter[0] > iv._NODE_LIMIT:
-        raise iv._NodeBudgetExceeded
     if interval(live):
         return 0
     if d <= 0:
@@ -488,68 +463,75 @@ def _memo_free_branch(adj, live, d, forbidden, counter, interval, chordal=False,
 
 def _memo_free_search(everywhere=False):
     """A stand-in for ``_interval_deletion`` that runs ``_memo_free_branch``
-    from ``start`` under the same node limit, node count and fallback, and
-    leaves the caller's memo unread."""
+    from ``start`` with the same node count, and leaves the caller's memo
+    unread."""
     import cosr.interval as iv
 
     def search(adj, start, d, forbidden, interval, failed, chordal):
         if d < 0:
-            return None, 0, False
+            return None, 0
         counter = [0]
-        try:
-            solution = _memo_free_branch(adj, start, d, forbidden, counter, interval, everywhere=everywhere)
-            fell_back = False
-        except iv._NodeBudgetExceeded:
-            solution, fell_back = iv._subset_search(start, d, forbidden, interval), True
-        return (None if solution is None else iv._minimalize(start, solution, interval)), counter[0], fell_back
+        solution = _memo_free_branch(adj, start, d, forbidden, counter, interval, everywhere=everywhere)
+        return (None if solution is None else iv._minimalize(start, solution, interval)), counter[0]
 
     return search
+
+
+def _random_cases(seed, count, most):
+    """``count`` random graphs of 1 to ``most`` vertices under gapped labels,
+    each with up to two forbidden vertices; odd cases hand the graph test in
+    as a stand-in."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n = rng.randint(1, most)
+        labels = sorted(rng.sample(range(-20, 40), n))
+        p = rng.choice((0.2, 0.3, 0.5, 0.7))
+        g = Graph(labels, [(u, v) for j, u in enumerate(labels) for v in labels[j + 1:] if rng.random() < p])
+        cases.append((g, frozenset(rng.sample(labels, rng.randint(0, min(2, n)))), i % 2))
+    return cases
 
 
 def test_failed_node_memo_matches_the_memo_free_search(monkeypatch):
     # Lemma at the leaf search: within one search, a live mask that failed
     # once fails again after the same number of nodes. So the memo keeps the
-    # answer, the node count and the fallback of the search without it, also
-    # where the budget runs out inside a remembered subtree. Odd cases hand
-    # the graph test in as a stand-in, which runs MCS in the search as the
+    # answer and the node count of the search without it. Odd cases hand the
+    # graph test in as a stand-in, which runs MCS in the search as the
     # solver's leaf does. What runs after the branch is the same code on both
-    # sides, so the branch's own deletion set is compared unminimalized, and a
-    # stub that finds nothing stands in for the subset search after a
-    # fallback.
+    # sides, so the branch's own deletion set is compared unminimalized.
     import cosr.interval as iv
 
     monkeypatch.setattr(iv, "_minimalize", lambda everything, drop, interval: drop)
-    monkeypatch.setattr(iv, "_subset_search", lambda live, d, forbidden, interval: None)
-    rng = random.Random(71)
-    cases = []
-    for i in range(2000):
-        n = rng.randint(1, 13)
-        labels = sorted(rng.sample(range(-20, 40), n))
-        p = rng.choice((0.2, 0.3, 0.5, 0.7))
-        g = Graph(labels, [(u, v) for j, u in enumerate(labels) for v in labels[j + 1:] if rng.random() < p])
-        cases.append((g, frozenset(rng.sample(labels, rng.randint(0, min(2, n)))), i % 2))
-
-    out_on_hit, lookups = [0], []
-
-    def run():
-        out = []
-        for limit in (1, 3, 7, 20, 200_000):
-            monkeypatch.setattr(iv, "_NODE_LIMIT", limit)
-            for g, forbidden, stand_in in cases:
-                for d in range(4):
-                    lookups.clear()
-                    out.append(_positional(g, d, forbidden, stand_in, _LoggedMemo(lookups)))
-                    # The node that passes the limit raises right after its
-                    # lookup, so the last lookup says whether it was a hit.
-                    # The memo-free search looks nothing up.
-                    if out[-1][2] and lookups:
-                        out_on_hit[0] += lookups[-1][1]
-        return out
-
-    remembered = run()
+    cases = _random_cases(71, 2000, 13)
+    lookups = []
+    remembered = [_positional(g, d, forbidden, stand_in, _LoggedMemo(lookups))
+                  for g, forbidden, stand_in in cases for d in range(4)]
     monkeypatch.setattr(iv, "_interval_deletion", _memo_free_search())
-    assert remembered == run()
-    assert out_on_hit[0] > 0 and sum(fell_back for _, _, fell_back in remembered) > 1000
+    assert remembered == [_positional(g, d, forbidden, stand_in) for g, forbidden, stand_in in cases for d in range(4)]
+    assert sum(hit for _, hit in lookups) > 1000
+
+
+def test_each_live_mask_is_expanded_at_most_once():
+    # Lemma at the leaf search (termination): a failed live mask goes into the
+    # memo and a success ends the search, so no live mask is expanded twice;
+    # each is the start less at most d of its a allowed positions, so a search
+    # expands at most sum_{k <= min(d, a)} C(a, k) nodes. An expansion is a
+    # lookup that misses the memo.
+    import cosr.interval as iv
+
+    most = 0
+    for g, forbidden, stand_in in _random_cases(97, 1500, 12):
+        a = g.n - len(forbidden)
+        keep = iv._mask(g, forbidden)
+        for d in range(5):
+            lookups = []
+            _positional(g, d, forbidden, stand_in, _LoggedMemo(lookups))
+            expanded = [live for live, hit in lookups if not hit]
+            assert len(set(expanded)) == len(expanded), (g, forbidden, d)
+            assert all(live & keep == keep and g.n - live.bit_count() <= d for live in expanded)
+            assert len(expanded) <= sum(math.comb(a, k) for k in range(min(d, a) + 1)), (g, forbidden, d)
+            most = max(most, len(expanded))
+    assert most > 100, most
 
 
 def test_public_path_reads_chordality_from_the_graph_test(monkeypatch):

@@ -321,23 +321,6 @@ def test_complement_of_identity_cores_solved_at_the_leaf(k):
     assert len(brute_cosr(M, k - 2)) == k - 2
 
 
-def test_leaf_fallback_is_counted(monkeypatch):
-    import cosr.interval
-
-    M = complement_of_identity(6)
-    want = cos_r(M, 4)
-    monkeypatch.setattr(cosr.interval, "_NODE_LIMIT", 0)
-    for d in (3, 4):
-        rep = cos_r(M, d)
-        assert rep.feasible == (d == 4)
-        # every leaf spends its single node on the budget check, then
-        # switches to the exhaustive subset search
-        assert rep.stats.leaves > 0
-        assert rep.stats.leaf_fallbacks == rep.stats.leaf_nodes == rep.stats.leaves
-    assert len(rep.solution) == len(want.solution) == 4
-    assert verify_cop(delete_rows(M, rep.solution), rep.certificate)
-
-
 def test_stats_keys_keep_their_order():
     keys = list(cos_r(COMPLEMENT_IDENT4, 2).stats.as_dict())
     assert keys == ["internal_nodes", "leaves", "rule1", "rule2", "rule3", "leaf_nodes", "leaf_fallbacks"]
@@ -393,14 +376,23 @@ PINNED_MIXED = [
 ]
 
 
+# SHA-256 over each answer's ``to_text()``, counters left out, of the
+# PINNED_PLANTED solves and then the PINNED_MIXED ones.
+PINNED_ANSWERS = "f6d5eecc196c44ce"
+
+
 def test_pinned_answers_and_counters():
     keys = tuple(SolveStats().as_dict())
+    answers = hashlib.sha256()
     for args, d, text, stats in PINNED_PLANTED:
         report = cos_r(_planted(*args), d)
+        answers.update(report.to_text().encode())
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats))), (args, d)
     for args, text, stats in PINNED_MIXED:
         report = cos_r(random_instance(*args), 2)
+        answers.update(report.to_text().encode())
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats))), args
+    assert answers.hexdigest()[:16] == PINNED_ANSWERS
 
 
 def _recording(events, name, inner):
@@ -415,7 +407,8 @@ def _recording(events, name, inner):
 def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
     # Below the root, rule 1's scan runs first and step 0's COP test only
     # when the scan is clean: an H1 or H2 triple already proves there is no
-    # COP order.
+    # COP order. Besides its pins, it observes the search: it expects more
+    # than 100 Helly hits.
     import cosr.solver
 
     events = []
@@ -424,10 +417,11 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
     keys = tuple(SolveStats().as_dict())
     cases = [(_planted(*args), d, text, stats) for args, d, text, stats in PINNED_PLANTED]
     cases += [(random_instance(*args), 2, text, stats) for args, text, stats in PINNED_MIXED]
-    hits = 0
+    hits, answers = 0, hashlib.sha256()
     for M, d, text, stats in cases:
         events.clear()
         report = cos_r(M, d)
+        answers.update(report.to_text().encode())
         assert (report.to_text(), report.stats.as_dict()) == (text, dict(zip(keys, stats)))
         # H a scan that hits, h a clean one, k the kept rows that step 0
         # tests for COP. The root runs step 0 first, on M's own rows; below
@@ -440,7 +434,7 @@ def test_step_zero_follows_a_clean_helly_scan_below_the_root(monkeypatch):
             if name == "h" and not hit:  # step 0 on this node's rows, which hold the scanned ones
                 assert not then[1] & args[-1]
         hits += steps.count("H")
-    assert hits > 100
+    assert hits > 100 and answers.hexdigest()[:16] == PINNED_ANSWERS
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -470,7 +464,8 @@ def test_one_derived_graph_per_node(monkeypatch):
     # and step 0 read it and M's rows through the node's live mask, so a
     # derived graph is built only once per solve for its leaves: with
     # positive labels every leaf shares one augmentation of M. No leaf
-    # builds a matrix.
+    # builds a matrix. Observes the search, not the answers: it expects
+    # ``_incidence`` at every root that fails step 0.
     import cosr.graphs
     import cosr.solver
 
@@ -548,7 +543,8 @@ def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
     # Lemma at the solver's step 5: at a leaf M with G the derived graph of
     # augment(M), G - S is interval iff delete_rows(M, S) has COP, for every
     # set S of original rows. Checked on each leaf the corpus solves reach,
-    # for every S within the leaf's budget.
+    # for every S within the leaf's budget. Observes the search, not the
+    # answers: it expects more than 400 distinct corpus leaves.
     leaves, checked, verdicts = [], set(), set()
 
     def check(graph, budget, forbidden, interval, live):
@@ -572,7 +568,8 @@ def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
 def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
     # The same lemma on leaf matrices given an all-zero row, a duplicate row,
     # shuffled row order and gapped, negative labels (some in the identity
-    # range -1..-n), for every S of at most three original rows.
+    # range -1..-n), for every S of at most three original rows. Observes the
+    # search, not the answers: it expects each d = 0 solve to reach one leaf.
     rng = random.Random(31)
     leaves = {}
     for seed in range(400):
@@ -672,7 +669,8 @@ def test_every_leaf_starts_from_rows_without_the_property(monkeypatch):
     # step 0, at the root or after a clean Helly scan, so the stand-in
     # answers False at ``start`` without a test. Checked on every leaf of the
     # corpus and the cores: its rows fail ``_cop_positions``, and the graph
-    # test finds its graph at ``start`` not interval.
+    # test finds its graph at ``start`` not interval. Observes the search,
+    # not the answers: it expects more than 400 leaves.
     leaves, verdicts = [], []
 
     def check(graph, budget, forbidden, interval, start):
@@ -688,26 +686,6 @@ def test_every_leaf_starts_from_rows_without_the_property(monkeypatch):
         cos_r(M, d, on_leaf=lambda mat, b: leaves.append(mat))
     assert len(leaves) == len(verdicts) > 400 and not any(verdicts)
     assert all(_cop_positions(list(mat.rows), mat.n) is None for mat in leaves)
-
-
-def test_subset_search_leaves_give_the_same_answers(monkeypatch):
-    # With no branch-node budget every leaf takes the exhaustive subset
-    # search, which asks the same interval test.
-    import cosr.interval
-
-    cases = list(_core_solves())
-    for i in range(0, 168, 6):
-        for k, density in enumerate((0.3, 0.5, 0.7)):
-            M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
-            cases += [(M, d) for d in range(4)]
-    want = [cos_r(M, d).to_text() for M, d in cases]
-    monkeypatch.setattr(cosr.interval, "_NODE_LIMIT", 0)
-    fallbacks = 0
-    for (M, d), text in zip(cases, want):
-        report = cos_r(M, d)
-        assert report.to_text() == text, (M, d)
-        fallbacks += report.stats.leaf_fallbacks
-    assert fallbacks > 20
 
 
 def _relabelled_solves(shifted=False):
@@ -745,30 +723,38 @@ def _relabelled_solves(shifted=False):
 def test_relabelled_answers_are_byte_identical():
     # Labels out of storage order pin every tie-break that must follow
     # labels, not positions: branching order, rule 3's candidate order and
-    # greedy shrink, and the leaf's choices.
-    answers = hashlib.sha256()
+    # greedy shrink, and the leaf's choices. ``texts`` hashes the answers
+    # alone, ``answers`` the answers and counters. Besides its pins, it
+    # observes the search: it expects more than 200 hits of each rule.
+    answers, texts = hashlib.sha256(), hashlib.sha256()
     rules = [0, 0, 0]
     for M, d in _relabelled_solves():
         report = cos_r(M, d)
         answers.update(report.to_text().encode())
+        texts.update(report.to_text().encode())
         answers.update(repr(report.stats.as_dict()).encode())
         rules = [a + b for a, b in zip(rules, (report.stats.rule1, report.stats.rule2, report.stats.rule3))]
     assert min(rules) > 200, rules
+    assert texts.hexdigest()[:16] == "72aa399a80bb9960"
     assert answers.hexdigest()[:16] == "8479b5bc1dd1feda"
 
 
 def test_shifted_identity_labels_answers_are_byte_identical():
     # Labels in -n..-1 move augment's identity labels below every original
     # label, which changes the leaf's label order: pin those leaves too.
-    answers = hashlib.sha256()
+    # Besides its pins, it observes the search: it expects more than 200
+    # leaves.
+    answers, texts = hashlib.sha256(), hashlib.sha256()
     leaves = 0
     for M, d in _relabelled_solves(shifted=True):
         assert any(-M.n <= r < 0 for r in M.row_ids) and min(M.row_ids) < -M.n
         report = cos_r(M, d)
         answers.update(report.to_text().encode())
+        texts.update(report.to_text().encode())
         answers.update(repr(report.stats.as_dict()).encode())
         leaves += report.stats.leaves
     assert leaves > 200, leaves
+    assert texts.hexdigest()[:16] == "67edf120df8c4d5e"
     assert answers.hexdigest()[:16] == "cd5467a6b27aed22"
 
 
@@ -784,15 +770,19 @@ def test_the_search_converts_no_labels(monkeypatch):
 
     monkeypatch.setattr(cosr.interval, "_mask", refuse)
     monkeypatch.setattr(cosr.graphs.Graph, "labels", refuse)
-    for solves, pinned in ((_core_solves(), "04c1c2228200d9b3"), (_relabelled_solves(), "8479b5bc1dd1feda"),
-                           (_relabelled_solves(shifted=True), "cd5467a6b27aed22")):
-        answers, leaves = hashlib.sha256(), 0
+    for solves, pinned_texts, pinned in (
+            (_core_solves(), "666f38958ded5f5d", "04c1c2228200d9b3"),
+            (_relabelled_solves(), "72aa399a80bb9960", "8479b5bc1dd1feda"),
+            (_relabelled_solves(shifted=True), "67edf120df8c4d5e", "cd5467a6b27aed22")):
+        answers, texts, leaves = hashlib.sha256(), hashlib.sha256(), 0
         for M, d in solves:
             report = cos_r(M, d)
             answers.update(report.to_text().encode())
+            texts.update(report.to_text().encode())
             answers.update(repr(report.stats.as_dict()).encode())
             leaves += report.stats.leaves
-        assert leaves > 30 and answers.hexdigest()[:16] == pinned, leaves
+        assert leaves > 30 and texts.hexdigest()[:16] == pinned_texts, leaves
+        assert answers.hexdigest()[:16] == pinned
 
 
 def _per_leaf_search(mat, budget):
@@ -803,10 +793,10 @@ def _per_leaf_search(mat, budget):
     graph = derived_graph(aug)
     rows = [0 if v in aug.identity_rows else aug.row_mask(v) for v in graph.vertices]
     identity = sum(1 << p for p, v in enumerate(graph.vertices) if v in aug.identity_rows)
-    removed, nodes, fell_back = _interval_deletion(
+    removed, nodes = _interval_deletion(
         graph._adj, (1 << graph.n) - 1, budget, identity,
         lambda live: _cop_positions([rows[p] for p in _bits(live)], mat.n) is not None, {}, False)
-    return None if removed is None else graph.labels(removed), nodes, fell_back
+    return None if removed is None else graph.labels(removed), nodes
 
 
 def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
@@ -817,7 +807,8 @@ def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
     # above the solve's; the second has deleted -2, so its flag is clear;
     # the third keeps both. Every leaf, of this core, of a matrix on which
     # the two graphs share live masks, and of the shifted-label solves, must
-    # search as it does alone.
+    # search as it does alone. Observes the search, not the answers: it
+    # expects more than 300 leaves.
     import cosr.solver
 
     inner, graph_of = cosr.solver._interval_deletion, _graph_of(monkeypatch)
@@ -825,10 +816,10 @@ def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
 
     def compare(adj, start, budget, forbidden, interval, failed, chordal):
         got = inner(adj, start, budget, forbidden, interval, failed, chordal)
-        graph, (removed, nodes, fell_back) = graph_of(adj), got
+        graph, (removed, nodes) = graph_of(adj), got
         mat, b = leaves[-1]  # on_leaf runs just before the search
         labels = None if removed is None else graph.labels(removed)
-        assert (labels, nodes, fell_back) == _per_leaf_search(mat, b), mat
+        assert (labels, nodes) == _per_leaf_search(mat, b), mat
         flags.add(any(-mat.n <= r < 0 for r in mat.row_ids))
         moved[0] += graph.labels(forbidden) != augment(mat).identity_rows
         return got
