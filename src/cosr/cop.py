@@ -250,8 +250,15 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
     return adj
 
 
-def _cop_positions(rows: Iterable[int], n: int) -> list[int] | None:
-    """``cop_order`` on row masks over n columns: column positions, or None."""
+def _cop_positions(rows: Iterable[int], n: int, budget: int | None = None) -> list[int] | int | None:
+    """``cop_order`` on row masks over n columns: column positions, or None.
+
+    Given a ``budget``, a family without the property returns, in place of
+    None, how many of its overlap components lack it, counted up to
+    budget + 1. Lemma: that many rows must go. The components hold
+    disjoint sets, COP is hereditary, and a component keeps all its sets
+    until every row of one of them is deleted.
+    """
     sets = list(dict.fromkeys(mask for mask in rows if mask.bit_count() >= 2))
     k = len(sets)
     adj = _overlaps_by_pairs(sets) if k < _PAIR_TEST_BELOW else _overlaps_by_refinement(sets, n)
@@ -274,15 +281,21 @@ def _cop_positions(rows: Iterable[int], n: int) -> list[int] | None:
     comp_blocks: list[list[int]] = []
     comp_union: list[int] = []
     blk = [0] * n
+    failing = 0
     for members in comp_members:
         if len(members) == 1:  # one set inserts nothing
             blocks = [sets[members[0]]]
         else:
             blocks = _component_blocks(sets, members, blk)
             if blocks is None:
-                return None
+                failing += 1
+                if budget is None or failing > budget:
+                    break
+                continue
         comp_blocks.append(blocks)
         comp_union.append(sum(blocks))  # disjoint masks: the sum is the union
+    if failing:
+        return None if budget is None else failing
 
     # Component unions form a laminar family; nest each one inside the
     # unique block of its tightest container. Equal unions are possible

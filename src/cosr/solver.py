@@ -24,12 +24,18 @@ one candidate mask per row, and one pass over the column pairs decides
 rules 2 and 3. The children of a rule-3 node skip that pass: they inherit
 its maximal cliques, less the deleted row. Each rule deletes one row per
 child, and a node with no budget left has no children, so the branch tree
-has at most 4^d internal splits. When no rule applies, the identity
-augmentation turns the node's rows into the clique matrix of its derived
-graph and the residue is solved exactly as interval vertex deletion. Row
-deletion keeps that correspondence, so the leaf search tests its live rows
-for consecutive ones, not the graph for intervality; below a chordal node,
-a scan for asteroidal triples resumed at its parent's stands in for that
+has at most 4^d internal splits. Two lower bounds cut subtrees that hold
+no solution, so no answer changes: a node with budget b >= 1 whose step 0
+finds more than b overlap components without consecutive ones is refuted,
+as the components are row-disjoint and each needs a deletion; and rule 3
+branches on a core of t rows only with budget t - 2, as at most two core
+rows survive in any consecutive-ones order. When no rule applies, the
+identity augmentation turns the node's rows into the clique matrix of its
+derived graph and the residue is solved exactly as interval vertex
+deletion; a leaf with no budget left fails without a search. Row deletion
+keeps that correspondence, so the leaf search tests its live rows for
+consecutive ones, not the graph for intervality; below a chordal node, a
+scan for asteroidal triples resumed at its parent's stands in for that
 test. A solve builds one augmented graph for its leaves (two, when some
 keep a row labelled -n..-1 and some do not), as adjacency masks and a map
 from graph to row positions; each leaf searches it from its own live mask,
@@ -157,9 +163,14 @@ def _solve(
     # the other rows deleted, in the same order.
     ids, full = M.row_ids, (1 << M.m) - 1
     # Step 0 at the root: an input with the property costs one call and builds no incidence.
-    positions = _cop_positions(_kept(M.rows, 0), M.n)
-    if positions is not None:
-        return 0, positions
+    found = _cop_positions(_kept(M.rows, 0), M.n, d)
+    if isinstance(found, list):
+        return 0, found
+    # More overlap components without the property than budget: every
+    # solution deletes a row of each (see ``_cop_positions``). A node with
+    # no budget left is not refuted here; its rules decide its counters.
+    if 0 < d < found:
+        return None
     cols, meets, cand = _incidence(M.rows, M.n)
     stack: list[tuple[int, int, Collection[int] | None]] = [(full, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
@@ -172,11 +183,14 @@ def _solve(
         # step 0 could only say None.
         hit = _helly_scan(M.rows, cand, live & -(1 << helly_start))
         if hit is None and live != full:
-            positions = _cop_positions(_kept(M.rows, full ^ live), M.n)
-            if positions is not None:
-                return full ^ live, positions
+            found = _cop_positions(_kept(M.rows, full ^ live), M.n, budget)
+            if isinstance(found, list):
+                return full ^ live, found
+            if 0 < budget < found:  # refuted as at the root, adding no counter
+                continue
 
         branch: Iterable[int] | None = None
+        need = 1  # rows that every solution below the node deletes, at least
         inherited = None
         # A child's triples are its parent's that avoid the deleted row, and
         # a triple's verdict depends on its three rows alone. So below a
@@ -219,13 +233,15 @@ def _solve(
                 # starts rightmost, or alone ends leftmost, among the
                 # kept rows; each role fits one row, so at most 2 core
                 # rows survive. Every solution deletes >= k - 2 of the k
-                # core rows, hence at least one of any 3.
+                # core rows, hence at least one of any 3, and a node with
+                # less budget has none.
+                need = uncovered[1].bit_count() - 2
                 branch = sorted(_bits(uncovered[1]), key=ids.__getitem__)[:3]
 
         if branch is not None:
             # Popped in ascending label order, each subtree before the next;
-            # a node with no budget left has no children.
-            for p in sorted(branch, key=ids.__getitem__, reverse=True) if budget else ():
+            # a node with less budget than it needs has no children.
+            for p in sorted(branch, key=ids.__getitem__, reverse=True) if budget >= need else ():
                 stack.append((live & ~(1 << p), child_start, inherited))
             continue
 
@@ -238,6 +254,12 @@ def _solve(
         stats.leaves += 1
         if on_leaf is not None:
             on_leaf(delete_rows(M, [ids[p] for p in _bits(full ^ live)]), budget)
+        if not budget:
+            # The search would test nothing: its start rows just failed step
+            # 0, so it fails at its one node, and a memo hit on that mask
+            # holds a subtree of 1 node (see ``_interval_deletion``).
+            stats.leaf_nodes += 1
+            continue
         # ``augment`` shifts a leaf's identity labels below its own rows iff
         # it keeps a row labelled -n..-1. Either way, in label order its
         # identity rows sit among its rows as they do in the graph of this

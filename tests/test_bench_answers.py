@@ -23,8 +23,8 @@ import cosr.cli
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 PINNED = {
-    ("core", 1): "2ae131c982c3e9ff",
-    ("core", 2): "1548edd096da3ee5",
+    ("core", 1): "c602d470cea45acc",
+    ("core", 2): "d2f8738496ef8650",
     ("planted", 1): "61ca612df70411fa",
     ("planted", 2): "2d1d3176930a4b28",
     ("recognize", 1): "986d08f69055cabd",

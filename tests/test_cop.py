@@ -548,3 +548,14 @@ def test_linked_block_sequence_matches_the_list_insertion(monkeypatch):
         "not a run", "inner block leaves s", "no free end", "split only block", "split head block",
         "split tail block", "join at head", "join at tail", "refine", "attach at head", "attach at tail",
     }, seen
+
+
+def test_cop_positions_counts_failing_components_up_to_budget_plus_one():
+    # Three triangles {0,1}, {1,2}, {0,2} on disjoint columns, and a path:
+    # with a budget, the failing overlap components are counted, up to
+    # budget + 1; without one, the first failure gives None.
+    triangles = [mask << 3 * t for t in range(3) for mask in (3, 6, 5)]
+    path = [3 << 9, 6 << 9]
+    assert _cop_positions(triangles + path, 12) is None
+    assert [_cop_positions(triangles + path, 12, b) for b in range(5)] == [1, 2, 3, 3, 3]
+    assert isinstance(_cop_positions(path, 12, 2), list)

@@ -24,7 +24,7 @@ from cosr import (
 from cosr.cop import _cop_positions
 from cosr.interval import _chordal_interval, _interval_deletion
 from cosr.matrix import _bits
-from cosr.solver import SolveStats, _find_rule2_cycle
+from cosr.solver import SolveStats, _find_rule2_cycle, _leaf_graph
 from cosr.oracle import brute_cop, brute_cosr, brute_maximal_cliques, random_instance
 
 M1 = parse_matrix("3 8\n1 1 1 1 1 0 0 0\n0 1 0 0 1 1 1 0\n1 0 1 1 0 1 0 1\n")
@@ -463,15 +463,19 @@ def test_one_derived_graph_per_node(monkeypatch):
     # A solve builds one incidence, once the root's step 0 fails. Rules 1-3
     # and step 0 read it and M's rows through the node's live mask, so a
     # derived graph is built only once per solve for its leaves: with
-    # positive labels every leaf shares one augmentation of M. No leaf
-    # builds a matrix. Observes the search, not the answers: it expects
-    # ``_incidence`` at every root that fails step 0.
+    # positive labels every leaf that searches shares one augmentation of
+    # M. No leaf builds a matrix. Observes the search, not the answers: it
+    # expects ``_incidence`` at every root that fails step 0 and is not
+    # refuted there by more overlap components without the property than
+    # d, and a derived graph in every solve with a leaf that has budget to
+    # search.
     import cosr.graphs
     import cosr.solver
 
     events = []
     for module, name in [(cosr.solver, "_incidence"), (cosr.solver, "_cop_positions"), (cosr.solver, "delete_rows"),
-                         (cosr.solver, "augment"), (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph")]:
+                         (cosr.solver, "augment"), (cosr.solver, "derived_graph"), (cosr.graphs, "derived_graph"),
+                         (cosr.solver, "_interval_deletion")]:
         monkeypatch.setattr(module, name, _recording(events, name, getattr(module, name)))
     hits = {"rule1": 0, "rule2": 0, "rule3": 0, "leaves": 0}
     for i in range(168):
@@ -481,10 +485,12 @@ def test_one_derived_graph_per_node(monkeypatch):
                 events.clear()
                 stats = cos_r(M, d).stats
                 names = [name for name, _, _ in events]
-                root_fails = names[0] == "_cop_positions" and events[0][2] is None
-                assert names.count("_incidence") == root_fails, (i, k, d)
-                assert names.count("augment") == (stats.leaves > 0), (i, k, d)
-                assert names.count("derived_graph") == (stats.leaves > 0), (i, k, d)
+                assert names[0] == "_cop_positions"
+                found = events[0][2]
+                searched = not isinstance(found, list) and not 0 < d < found
+                assert names.count("_incidence") == searched == (stats.internal_nodes + stats.leaves > 0), (i, k, d)
+                assert names.count("augment") == ("_interval_deletion" in names), (i, k, d)
+                assert names.count("derived_graph") == ("_interval_deletion" in names), (i, k, d)
                 assert "delete_rows" not in names, (i, k, d)
                 for name, then in zip(names, names[1:] + [None]):
                     if name == "augment":  # the augmentation goes straight to its derived graph
@@ -544,7 +550,9 @@ def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
     # augment(M), G - S is interval iff delete_rows(M, S) has COP, for every
     # set S of original rows. Checked on each leaf the corpus solves reach,
     # for every S within the leaf's budget. Observes the search, not the
-    # answers: it expects more than 400 distinct corpus leaves.
+    # answers: it expects more than 200 distinct corpus leaves with budget
+    # left, as a leaf with none does not search (its S is empty, and
+    # ``test_every_leaf_starts_from_rows_without_the_property`` covers it).
     leaves, checked, verdicts = [], set(), set()
 
     def check(graph, budget, forbidden, interval, live):
@@ -562,14 +570,15 @@ def test_leaf_matrix_test_matches_graph_test_on_corpus_leaves(monkeypatch):
             M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
             for d in range(4):
                 cos_r(M, d, on_leaf=lambda mat, b: leaves.append((mat, b)))
-    assert len(checked) > 400 and verdicts == {True, False}
+    assert len(checked) > 200 and verdicts == {True, False}
 
 
 def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
     # The same lemma on leaf matrices given an all-zero row, a duplicate row,
     # shuffled row order and gapped, negative labels (some in the identity
     # range -1..-n), for every S of at most three original rows. Observes the
-    # search, not the answers: it expects each d = 0 solve to reach one leaf.
+    # search, not the answers: it expects each d = 1 solve to reach one leaf
+    # search (at d = 0 a leaf does not search).
     rng = random.Random(31)
     leaves = {}
     for seed in range(400):
@@ -587,7 +596,7 @@ def test_leaf_matrix_test_matches_graph_test_on_relabelled_leaves(monkeypatch):
         rng.shuffle(rows)
         labels = rng.sample(range(-30, 30), len(rows))
         searches.clear()
-        cos_r(BinaryMatrix(tuple(labels), L.col_ids, tuple(rows)), 0)
+        cos_r(BinaryMatrix(tuple(labels), L.col_ids, tuple(rows)), 1)
         assert len(searches) == 1  # a zero row and a twin keep the leaf rule-clean
     assert len(leaves) > 100 and verdicts == {True, False}
 
@@ -608,13 +617,43 @@ def _core_solves():
 
 def test_core_answers_are_byte_identical():
     # SHA-256 over each solve's to_text() then repr(stats.as_dict()), so the
-    # leaf's branch nodes (leaf_nodes) are pinned with the answers.
-    answers = hashlib.sha256()
+    # leaf's branch nodes (leaf_nodes) are pinned with the answers; ``texts``
+    # hashes the answers alone.
+    answers, texts = hashlib.sha256(), hashlib.sha256()
     for M, d in _core_solves():
         report = cos_r(M, d)
         answers.update(report.to_text().encode())
+        texts.update(report.to_text().encode())
         answers.update(repr(report.stats.as_dict()).encode())
-    assert answers.hexdigest()[:16] == "04c1c2228200d9b3"
+    assert texts.hexdigest()[:16] == "666f38958ded5f5d"
+    assert answers.hexdigest()[:16] == "4eeaa0ac10577e09"
+
+
+def _core_leaves(search):
+    """The leaf searches of each ``_core_solves`` solve as the solver runs
+    them when rule 3 may branch at any budget, with ``search`` in place of
+    ``_interval_deletion``: rule 3 fires at the root on the whole core and
+    branches on labels 1, 2 and 3, and each child is a leaf with budget
+    d - 1 that searches the solve's one leaf graph from its live mask, with
+    one memo per solve, until one succeeds. At d = k - 3 the solver itself
+    ends at rule 3's bound, so only this reaches those leaves. Returns, per
+    solve, the matrix, d, the number of leaves, the sum of their nodes and
+    whether one succeeded."""
+    out = []
+    for M, d in _core_solves():
+        adj, identity, place, _, rows, failed = _leaf_graph(M, False)
+        leaves = nodes = 0
+        for p in sorted(range(M.m), key=M.row_ids.__getitem__)[:3]:
+            start = identity | sum(place[q] for q in range(M.m) if q != p)
+            removed, count = search(
+                adj, start, d - 1, identity,
+                lambda live: live != start and _cop_positions([rows[v] for v in _bits(live)], M.n) is not None,
+                failed, False)
+            leaves, nodes = leaves + 1, nodes + count
+            if removed is not None:
+                break
+        out.append((M, d, leaves, nodes, removed is not None))
+    return out
 
 
 def test_core_leaves_run_mcs_once(monkeypatch):
@@ -625,14 +664,17 @@ def test_core_leaves_run_mcs_once(monkeypatch):
 
     events = []
     monkeypatch.setattr(cosr.interval, "_mcs_order", _recording(events, "m", cosr.interval._mcs_order))
-    leaves = nodes = 0
-    for M, d in _core_solves():
-        stats = cos_r(M, d).stats
-        leaves, nodes = leaves + stats.leaves, nodes + stats.leaf_nodes
+    solves = _core_leaves(_interval_deletion)
+    leaves, nodes = (sum(solve[i] for solve in solves) for i in (2, 3))
     assert len(events) == leaves == 40 and nodes > 3000
+    # The solver runs the same leaf on a YES side. On a NO side it ends at
+    # rule 3's bound: a core of k rows needs k - 2 deletions.
+    for M, d, _, count, found in solves:
+        stats = cos_r(M, d).stats
+        assert (stats.rule3, stats.leaves, stats.leaf_nodes) == ((1, 1, count) if found else (1, 0, 0)), (M, d)
 
 
-def test_core_leaves_test_each_deletion_set_once(monkeypatch):
+def test_core_leaves_test_each_deletion_set_once():
     # The leaf search reaches one deletion set by many orders, and the
     # leaves of one solve share one memo of the nodes whose subtree failed.
     # Below a node that branched on an asteroidal triple, a node with budget
@@ -642,9 +684,7 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
     # per node, 3,302. _minimalize asks 50 more, 40 of them on masks the
     # search never tested. leaf_nodes still counts the memo-free search's
     # nodes.
-    import cosr.solver
-
-    inner = cosr.solver._interval_deletion
+    inner = _interval_deletion
     tests, masks = [0], [0]
 
     def counting(adj, start, budget, forbidden, interval, failed, chordal):
@@ -659,8 +699,7 @@ def test_core_leaves_test_each_deletion_set_once(monkeypatch):
         masks[0] += len(seen)
         return result
 
-    monkeypatch.setattr(cosr.solver, "_interval_deletion", counting)
-    nodes = sum(cos_r(M, d).stats.leaf_nodes for M, d in _core_solves())
+    nodes = sum(nodes for _, _, _, nodes, _ in _core_leaves(counting))
     assert (tests[0], masks[0], nodes) == (269, 259, 3302)
 
 
@@ -669,7 +708,9 @@ def test_every_leaf_starts_from_rows_without_the_property(monkeypatch):
     # step 0, at the root or after a clean Helly scan, so the stand-in
     # answers False at ``start`` without a test. Checked on every leaf of the
     # corpus and the cores: its rows fail ``_cop_positions``, and the graph
-    # test finds its graph at ``start`` not interval. Observes the search,
+    # test finds its graph at ``start`` not interval. A leaf with no budget
+    # left skips the search on the same lemma, so every leaf's rows are
+    # checked, and only the leaves with budget search. Observes the search,
     # not the answers: it expects more than 400 leaves.
     leaves, verdicts = [], []
 
@@ -683,9 +724,9 @@ def test_every_leaf_starts_from_rows_without_the_property(monkeypatch):
             M = random_instance(100_000 + 3 * i + k, 3 + i % 6, 3 + (i // 6) % 6, density)
             cases += [(M, d) for d in range(4)]
     for M, d in cases:
-        cos_r(M, d, on_leaf=lambda mat, b: leaves.append(mat))
-    assert len(leaves) == len(verdicts) > 400 and not any(verdicts)
-    assert all(_cop_positions(list(mat.rows), mat.n) is None for mat in leaves)
+        cos_r(M, d, on_leaf=lambda mat, b: leaves.append((mat, b)))
+    assert len(leaves) > 400 and len(verdicts) == sum(b > 0 for _, b in leaves) and not any(verdicts)
+    assert all(_cop_positions(list(mat.rows), mat.n) is None for mat, _ in leaves)
 
 
 def _relabelled_solves(shifted=False):
@@ -736,7 +777,7 @@ def test_relabelled_answers_are_byte_identical():
         rules = [a + b for a, b in zip(rules, (report.stats.rule1, report.stats.rule2, report.stats.rule3))]
     assert min(rules) > 200, rules
     assert texts.hexdigest()[:16] == "72aa399a80bb9960"
-    assert answers.hexdigest()[:16] == "8479b5bc1dd1feda"
+    assert answers.hexdigest()[:16] == "8cc3967e4553c23e"
 
 
 def test_shifted_identity_labels_answers_are_byte_identical():
@@ -755,13 +796,15 @@ def test_shifted_identity_labels_answers_are_byte_identical():
         leaves += report.stats.leaves
     assert leaves > 200, leaves
     assert texts.hexdigest()[:16] == "67edf120df8c4d5e"
-    assert answers.hexdigest()[:16] == "cd5467a6b27aed22"
+    assert answers.hexdigest()[:16] == "7e35cbe04b84d30f"
 
 
 def test_the_search_converts_no_labels(monkeypatch):
     # Every layer below cos_r takes and returns positions, so the leaf never
     # turns labels into a mask or a mask into labels. The answers stay those
-    # that the three hash tests pin.
+    # that the three hash tests pin. The cores reach 10 leaves, one per YES
+    # side, as their NO sides end at rule 3's bound; ``_core_leaves`` replays
+    # the 40 leaf searches of both sides.
     import cosr.graphs
     import cosr.interval
 
@@ -770,10 +813,10 @@ def test_the_search_converts_no_labels(monkeypatch):
 
     monkeypatch.setattr(cosr.interval, "_mask", refuse)
     monkeypatch.setattr(cosr.graphs.Graph, "labels", refuse)
-    for solves, pinned_texts, pinned in (
-            (_core_solves(), "666f38958ded5f5d", "04c1c2228200d9b3"),
-            (_relabelled_solves(), "72aa399a80bb9960", "8479b5bc1dd1feda"),
-            (_relabelled_solves(shifted=True), "67edf120df8c4d5e", "cd5467a6b27aed22")):
+    for solves, pinned_texts, pinned, more_than in (
+            (_core_solves(), "666f38958ded5f5d", "4eeaa0ac10577e09", 9),
+            (_relabelled_solves(), "72aa399a80bb9960", "8cc3967e4553c23e", 30),
+            (_relabelled_solves(shifted=True), "67edf120df8c4d5e", "7e35cbe04b84d30f", 30)):
         answers, texts, leaves = hashlib.sha256(), hashlib.sha256(), 0
         for M, d in solves:
             report = cos_r(M, d)
@@ -781,8 +824,9 @@ def test_the_search_converts_no_labels(monkeypatch):
             texts.update(report.to_text().encode())
             answers.update(repr(report.stats.as_dict()).encode())
             leaves += report.stats.leaves
-        assert leaves > 30 and texts.hexdigest()[:16] == pinned_texts, leaves
+        assert leaves > more_than and texts.hexdigest()[:16] == pinned_texts, leaves
         assert answers.hexdigest()[:16] == pinned
+    assert sum(leaves for _, _, leaves, _, _ in _core_leaves(_interval_deletion)) == 40
 
 
 def _per_leaf_search(mat, budget):
@@ -802,17 +846,19 @@ def _per_leaf_search(mat, budget):
 def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
     # ``augment`` shifts a leaf's identity labels below its rows iff the leaf
     # keeps a row labelled -n..-1, so a solve searches one graph per flag.
-    # Rule 3 on the core below (n = 5) branches on its lowest labels -9, -2
-    # and 1: the first leaf keeps -2 but not -9, so its identity labels sit
+    # Rule 3 on the 5-row core below branches on its lowest labels -12, -2
+    # and 1: the first leaf keeps -2 but not -12, so its identity labels sit
     # above the solve's; the second has deleted -2, so its flag is clear;
-    # the third keeps both. Every leaf, of this core, of a matrix on which
-    # the two graphs share live masks, and of the shifted-label solves, must
-    # search as it does alone. Observes the search, not the answers: it
-    # expects more than 300 leaves.
+    # the third keeps both. A 5-hole on five more columns (n = 10) makes
+    # each leaf fail: it needs 2 + 1 deletions and has 2, which neither the
+    # core's bound nor the two failing components see. Every leaf, of this
+    # matrix, of one on which the two graphs share live masks, and of the
+    # shifted-label solves at d + 2, must search as it does alone. Observes
+    # the search, not the answers: it expects more than 300 leaf searches.
     import cosr.solver
 
     inner, graph_of = cosr.solver._interval_deletion, _graph_of(monkeypatch)
-    leaves, flags, moved = [], set(), [0]
+    leaves, flags, moved, searched = [], set(), [0], [0]
 
     def compare(adj, start, budget, forbidden, interval, failed, chordal):
         got = inner(adj, start, budget, forbidden, interval, failed, chordal)
@@ -822,23 +868,26 @@ def test_leaves_share_a_graph_per_identity_shift(monkeypatch):
         assert (labels, nodes) == _per_leaf_search(mat, b), mat
         flags.add(any(-mat.n <= r < 0 for r in mat.row_ids))
         moved[0] += graph.labels(forbidden) != augment(mat).identity_rows
+        searched[0] += 1
         return got
 
     def on_leaf(mat, b):
         leaves.append((mat, b))
 
     monkeypatch.setattr(cosr.solver, "_interval_deletion", compare)
-    core = BinaryMatrix((-9, -2, 1, 2, 3), tuple(range(1, 6)), tuple(31 ^ 1 << j for j in range(5)))
-    report = cos_r(core, 2, on_leaf)
-    assert not report.feasible and report.stats.rule3 == 1 and len(leaves) == 3
-    assert [sorted(mat.row_ids)[:2] for mat, _ in leaves] == [[-2, 1], [-9, 1], [-9, -2]]
+    hole = tuple(3 << i for i in range(4)) + (17,)
+    core = BinaryMatrix((-12, -2, 1, 2, 3, 4, 5, 6, 7, 8), tuple(range(1, 11)),
+                        tuple(31 ^ 1 << j for j in range(5)) + tuple(r << 5 for r in hole))
+    report = cos_r(core, 3, on_leaf)
+    assert not report.feasible and report.stats.rule3 == 1 and searched[0] == len(leaves) == 3
+    assert [sorted(mat.row_ids)[:2] for mat, _ in leaves] == [[-2, 1], [-12, 1], [-12, -2]]
     assert flags == {True, False} and moved[0] == 1
     # One memo for both flags' graphs would hand one of these leaves a node
     # that failed on the other graph under the same mask.
     cos_r(BinaryMatrix((-10, -3, -7, 2, -4, 11), tuple(range(1, 6)), (7, 14, 7, 11, 14, 13)), 2, on_leaf)
-    for M, d in list(_relabelled_solves(shifted=True))[:400]:
-        cos_r(M, d, on_leaf)
-    assert len(leaves) > 300 and moved[0] > 100, (len(leaves), moved)
+    for M, d in _relabelled_solves(shifted=True):
+        cos_r(M, d + 2, on_leaf)
+    assert searched[0] > 300 and moved[0] > 100, (searched, moved)
 
 
 def test_a_wrong_block_order_fails_the_one_certificate_check(monkeypatch):

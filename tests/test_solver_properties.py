@@ -8,15 +8,20 @@ ones its own pair scan lists. Matrices stay at oracle sizes: m <= 10,
 n <= 12, d <= 3. Planted copies of Tucker's families, whose optimum is
 known, go past those sizes."""
 
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cosr import BinaryMatrix, Graph, cos_r, delete_rows, half_adjacency, verify_cop  # noqa: E402
+from cosr import find_helly_violation, find_uncovered_clique  # noqa: E402
+from cosr.cop import _cop_positions  # noqa: E402
 from cosr.graphs import _incidence, _scan_column_pairs  # noqa: E402
-from cosr.oracle import brute_cosr  # noqa: E402
+from cosr.oracle import brute_cop, brute_cosr  # noqa: E402
+from cosr.solver import _find_rule2_cycle  # noqa: E402
 import tucker  # noqa: E402
 
 # Derandomized and without an example database, so tier-1 stays repeatable.
@@ -154,6 +159,40 @@ def test_answers_match_brute_force(M):
     assert optimum == (None if best is None else len(best))
 
 
+@PROPERTY
+@given(st.one_of(matrices(), matrices(core())))
+def test_an_uncovered_core_of_t_rows_needs_t_minus_2_deletions(M):
+    # Rule 3's bound: with rules 1 and 2 clean, at most 2 rows of a minimal
+    # uncovered core survive in a COP order, so a node whose budget is
+    # below t - 2 has no solution. COP is hereditary, so it is enough that
+    # no 3 core rows have it, by brute force over one column per distinct
+    # column of the three (twin columns can sit side by side); a core of at
+    # most 5 rows is also checked against the optimum.
+    assume(find_helly_violation(M) is None and _find_rule2_cycle(M) is None)
+    found = find_uncovered_clique(M)
+    assume(found is not None)
+    core = sorted(found[1])
+    for rows in combinations(core, 3):
+        masks = [M.rows[M.row_index[r]] for r in rows]
+        kinds = sorted({tuple(mask >> j & 1 for mask in masks) for j in range(M.n)} - {(0, 0, 0)})
+        T = BinaryMatrix(rows, tuple(range(len(kinds))), tuple(sum(k[i] << j for j, k in enumerate(kinds)) for i in range(3)))
+        assert brute_cop(T) is None, (M, rows)
+    if len(core) <= 5:
+        assert brute_cosr(M, len(core) - 3) is None
+
+
+@PROPERTY
+@given(matrices())
+def test_failing_overlap_components_need_a_deletion_each(M):
+    # Step 0's bound: the overlap components without the property are
+    # row-disjoint, and each needs a deletion of its own.
+    failing = _cop_positions(M.rows, M.n, M.m)
+    if isinstance(failing, list):
+        assert brute_cosr(M, 0) is not None
+    else:
+        assert failing >= 1 and brute_cosr(M, failing - 1) is None
+
+
 @st.composite
 def tucker_copies(draw):
     """One to three copies of Tucker's families up to k = 6 (``tucker.py``)
@@ -169,15 +208,21 @@ def test_tucker_copies_need_one_deletion_each(drawn):
     tucker.check_one_deletion_per_copy(*drawn)
 
 
-CORE6 = BinaryMatrix(tuple(range(1, 7)), tuple(range(1, 7)), tuple(63 ^ 1 << j for j in range(6)))
+# A 6-row core, then a 4-row core on four more columns. Rule 3 branches
+# only with budget for the core's bound, k - 2 deletions, so it first
+# reaches children at d = 4: it branches on the 6-row core, then below each
+# child on the 4-row one, and all 12 children inherit their cliques.
+CORES_6_4 = BinaryMatrix(tuple(range(1, 11)), tuple(range(1, 11)),
+                         tuple(63 ^ 1 << j for j in range(6)) + tuple((15 ^ 1 << j) << 6 for j in range(4)))
 
 
 @PROPERTY
 @given(st.one_of(matrices(), matrices(core())))
-@example(CORE6)
+@example(CORES_6_4)
 def test_rule3_children_inherit_the_cliques_their_scan_lists(M):
     # Every rule-3 child's inherited cliques against a fresh pair scan of its
-    # live rows. Patched by hand: hypothesis reruns the body per example.
+    # live rows, at d up to MAX_D + 1, where a 6-row core first branches.
+    # Patched by hand: hypothesis reruns the body per example.
     import cosr.solver
 
     inner, checked = cosr.solver._inherited_cliques, []
@@ -192,9 +237,9 @@ def test_rule3_children_inherit_the_cliques_their_scan_lists(M):
 
     cosr.solver._inherited_cliques = fresh
     try:
-        for d in range(MAX_D + 1):
+        for d in range(MAX_D + 2):
             cos_r(M, d)
     finally:
         cosr.solver._inherited_cliques = inner
-    if M == CORE6:
+    if M == CORES_6_4:
         assert len(checked) > 3

@@ -1,6 +1,6 @@
 """Planted copies of Tucker's minimal non-COP matrices (``tucker.py``): exact
-optima past the oracle's column guard, and the rule or leaf each family
-reaches on its own."""
+optima past the oracle's column guard, the rule or leaf each family reaches
+on its own, and copies past the budget refuted at the root."""
 
 import random
 
@@ -53,3 +53,18 @@ def test_planted_copies_need_one_deletion_each():
         else:
             assert len(brute_cosr(M, r)) == r, M
     assert past_guard >= 4, past_guard
+
+
+def test_copies_past_the_budget_are_refuted_at_the_root():
+    # r copies on disjoint columns are r row-disjoint overlap components
+    # without the property, so at d = r - 1 step 0's bound answers NO at the
+    # root: no rule fires and no leaf searches, where the search alone takes
+    # time exponential in r. At d = r one row of each copy still goes. (At
+    # r = 1 the root has no budget left, and its rules run as before.)
+    rng = random.Random(12)
+    for name, family in families(6).items():
+        for r in range(2, 13):
+            M, groups = planted([family] * r, rng)
+            stats = cos_r(M, r - 1).stats
+            assert (stats.internal_nodes, stats.leaves) == (0, 0), (name, r)
+            check_one_deletion_per_copy(M, groups)
