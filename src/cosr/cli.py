@@ -72,7 +72,7 @@ def _parse_bipartite(text: str) -> tuple[Graph, frozenset[int]]:
         line = raw.strip()
         parts = line.split()
         if parts[:1] == ["sides"]:
-            if sides is not None or len(parts) != 2 or not parts[1].isdigit():
+            if sides is not None or len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise ParseError(no, f"bad side partition line {line!r}")
             sides = int(parts[1])
             raw = ""  # a blank in its place keeps later line numbers

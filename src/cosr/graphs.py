@@ -9,8 +9,6 @@ identified without translation tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 from typing import Collection, Iterable, Sequence
 
 from .errors import ContractError, ParseError
@@ -109,18 +107,25 @@ def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[
     ``cols[c]`` has bit r when row r holds column c, and ``meets[r]`` has
     bit s when rows r and s share a column; a nonempty row meets itself.
     ``cand[r]`` has bit s when rows r and s meet and s lacks a column of r.
+    Equal rows have equal ``meets`` and ``cand``, so each distinct row is
+    read once and its positions share its two masks.
     """
-    cols, supports = [0] * n, [list(_bits(mask)) for mask in rows]
-    for r, support_r in enumerate(supports):
-        bit = 1 << r
+    positions: dict[int, int] = {}  # each distinct row, with the positions holding it
+    for r, mask in enumerate(rows):
+        positions[mask] = positions.get(mask, 0) | 1 << r
+    supports = {mask: [*_bits(mask)] for mask in positions}
+    cols = [0] * n
+    for mask, support_r in supports.items():
         for c in support_r:
-            cols[c] |= bit
-    meets, cand = [], []
-    for support_r in supports:
-        held = [*map(cols.__getitem__, support_r)]
-        meets.append(meet := reduce(or_, held, 0))
-        cand.append(meet & ~reduce(and_, held, -1))
-    return cols, meets, cand
+            cols[c] |= positions[mask]
+    meets, cand = {}, {}
+    for mask, support_r in supports.items():
+        meet, common = 0, -1
+        for c in support_r:
+            meet |= cols[c]
+            common &= cols[c]
+        meets[mask], cand[mask] = meet, meet & ~common
+    return cols, [*map(meets.__getitem__, rows)], [*map(cand.__getitem__, rows)]
 
 
 def derived_graph(M: BinaryMatrix) -> Graph:
@@ -161,9 +166,35 @@ def _helly_scan(rows: Sequence[int], cand: list[int], live: int) -> tuple[tuple[
     return None
 
 
+def _copies(rows: Sequence[int]) -> tuple[int, list[int]]:
+    """The mask of the first copy of each distinct row, and by position the
+    position of the next equal row, or -1."""
+    firsts, later_copy, last = 0, [-1] * len(rows), {}
+    for p, mask in enumerate(rows):
+        if mask in last:
+            later_copy[last[mask]] = p
+        else:
+            firsts |= 1 << p
+        last[mask] = p
+    return firsts, later_copy
+
+
+def _first_live_copies(live: int, firsts: int, later_copy: list[int]) -> int:
+    """The first copy in ``live`` of each row that has one there."""
+    reps = live & firsts
+    for first in _bits(firsts & ~live):  # the deleted first copies, at most d
+        p = later_copy[first]
+        while p >= 0 and not live >> p & 1:
+            p = later_copy[p]
+        if p >= 0:
+            reps |= 1 << p
+    return reps
+
+
 def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
-    """First row triple (in matrix row order) violating H1 or H2, by ``_helly_scan``."""
-    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[2], (1 << M.m) - 1)
+    """First row triple (in matrix row order) violating H1 or H2, by
+    ``_helly_scan`` over the first copy of each row (see ``cosr.solver``)."""
+    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[2], _copies(M.rows)[0])
     if hit is None:
         return None
     return HellyViolation(tuple(M.row_ids[p] for p in hit[0]), hit[1])
@@ -359,7 +390,7 @@ def parse_graph(text: str) -> Graph:
         except StopIteration:
             raise ParseError(header_no, f"expected {m} edges, found {len(edges)}") from None
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ParseError(no, f"expected edge 'u v', got {line!r}")
         u, v = int(parts[0]), int(parts[1])
         if not (1 <= u < v <= n):

@@ -111,7 +111,7 @@ def _read_header(text: str, names: str) -> tuple[Iterator[tuple[int, str]], int,
     except StopIteration:
         raise ParseError(1, "missing header") from None
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError(no, f"expected header '{names}', got {header!r}")
     return lines, no, int(parts[0]), int(parts[1])
 

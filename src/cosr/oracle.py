@@ -55,13 +55,31 @@ def _order_search(n: int, masks: list[int]) -> tuple[int, ...] | None:
     return complete(0)
 
 
-def _has_cop(n: int, rows: tuple[int, ...], verdicts: dict[frozenset[int], bool]) -> bool:
+def _merge_twins(masks: list[int]) -> tuple[int, list[int]]:
+    """The column count and the rows of ``masks`` once each class of twin
+    columns (held by the same rows) is one column and the columns no row
+    holds are gone. Twins can always sit side by side and an unheld column
+    anywhere, so consecutive-ones feasibility does not change."""
+    holders: dict[int, int] = {}  # column -> the rows holding it
+    for i, mask in enumerate(masks):
+        for c in _bits(mask):
+            holders[c] = holders.get(c, 0) | 1 << i
+    classes = dict.fromkeys(holders.values())  # one new column per twin class
+    merged = [0] * len(masks)
+    for j, rows in enumerate(classes):
+        for i in _bits(rows):
+            merged[i] |= 1 << j
+    return len(classes), merged
+
+
+def _has_cop(rows: tuple[int, ...], verdicts: dict[frozenset[int], bool]) -> bool:
     # Consecutive-ones feasibility depends only on the distinct row
     # patterns with at least two 1s, so one call's deletion subsets share
-    # their verdicts through ``verdicts``.
+    # their verdicts through ``verdicts``. The verdict alone is needed, so
+    # twin columns are merged first.
     key = frozenset(mask for mask in rows if mask.bit_count() >= 2)
     if key not in verdicts:
-        verdicts[key] = _order_search(n, sorted(key)) is not None
+        verdicts[key] = _order_search(*_merge_twins(sorted(key))) is not None
     return verdicts[key]
 
 
@@ -90,7 +108,7 @@ def brute_cosr(M: BinaryMatrix, d: int) -> frozenset[int] | None:
     for k in range(min(d, M.m) + 1):
         for combo in combinations(labels, k):
             remainder = delete_rows(M, combo)
-            if _has_cop(remainder.n, remainder.rows, verdicts):
+            if _has_cop(remainder.rows, verdicts):
                 return frozenset(combo)
     return None
 

@@ -20,7 +20,9 @@ A search node is the input minus the rows deleted on its path, held as a
 mask of live row positions over one row incidence, built once the root's
 test fails; the mask is the whole node, and its budget is d less the rows
 it lacks. Rules 1-3 and step 0 read the rows through the mask: rule 1 reads
-one candidate mask per row, and one pass over the column pairs decides
+one candidate mask per row, and of equal rows only the first live copy, as
+a triple holding two equal rows is clean and the first violating triple
+holds first live copies only; one pass over the column pairs decides
 rules 2 and 3. The children of a rule-3 node skip that pass: they inherit
 its maximal cliques, less the deleted row. Each rule deletes one row per
 child, and a node with no budget left has no children, so the branch tree
@@ -53,7 +55,7 @@ from typing import Callable, Collection, Iterable
 # ``find_uncovered_clique``, ``interval_deletion``, ``pair_subgraph`` and
 # ``set_system`` stay here for the benchmark's tracer, which wraps them in
 # ``cosr.solver`` by name.
-from .graphs import Graph, _c4, _helly_scan, _incidence, _inherited_cliques
+from .graphs import Graph, _c4, _copies, _first_live_copies, _helly_scan, _incidence, _inherited_cliques
 from .graphs import _scan_column_pairs, _uncovered_core, derived_graph
 from .graphs import find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph  # noqa: F401
 from .interval import _interval_deletion, interval_deletion  # noqa: F401
@@ -172,16 +174,30 @@ def _solve(
     if 0 < d < found:
         return None
     cols, meets, cand = _incidence(M.rows, M.n)
+    firsts, later_copy = _copies(M.rows)
     stack: list[tuple[int, int, Collection[int] | None]] = [(full, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:
         live, helly_start, cliques = stack.pop()
         budget = d - (full ^ live).bit_count()  # ``full ^ live`` are the rows deleted on its path
+        # Rule 1 reads ``reps``, the first live copy of each live row, or
+        # ``live`` when no row repeats. Lemma: the scan over ``reps`` finds
+        # the triple it finds over ``live``.
+        # - A triple with two equal rows holds a nested pair, so it is clean.
+        # - Take the first violating triple of the live rows, and suppose one
+        #   of its rows had an earlier live copy x'. Swapping x' in gives a
+        #   violating triple of the same three sets. If x' is at or past the
+        #   resume point, the scan meets that triple earlier; if x' is before
+        #   it, the triple sits below the resume point, which the resumption
+        #   lemma (below) rules out. So the first triple holds first live
+        #   copies only, and every triple over ``reps`` is one over ``live``.
+        # The node stays its live mask; only the scan reads ``reps``.
+        reps = live if firsts == full else _first_live_copies(live, firsts, later_copy)
         # Rule 1's resumed scan goes first, then step 0 below the root: rows
         # with the property are intervals of one column order, and
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit
         # step 0 could only say None.
-        hit = _helly_scan(M.rows, cand, live & -(1 << helly_start))
+        hit = _helly_scan(M.rows, cand, reps & -(1 << helly_start))
         if hit is None and live != full:
             found = _cop_positions(_kept(M.rows, full ^ live), M.n, budget)
             if isinstance(found, list):

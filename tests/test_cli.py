@@ -208,6 +208,21 @@ def test_bipartite_parse_errors_count_the_sides_line(text, message, capsys, monk
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 3\nsides \u0662\n1 3\n1 4\n2 3\n", "error: line 2: bad side partition line 'sides \u0662'\n"),
+        ("4 3\nsides 2\u00b2\n1 3\n1 4\n2 3\n", "error: line 2: bad side partition line 'sides 2\u00b2'\n"),
+    ],
+)
+def test_sides_count_takes_ascii_digits_only(text, message, capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["convex-bipartite", "--d", "1", "-"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_check_cop_deep_staircase(tmp_path, capsys):
     # row r holds the first r + 1 columns: components nest 1,200 deep
     from cosr import parse_matrix, verify_cop

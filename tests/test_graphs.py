@@ -23,7 +23,8 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _helly_scan, _incidence, _maximal, _mcs_order, _peo_cliques, _scan_column_pairs, _uncovered_core
+from cosr.graphs import _copies, _first_live_copies, _helly_scan, _incidence, _maximal, _mcs_order
+from cosr.graphs import _peo_cliques, _scan_column_pairs, _uncovered_core
 from cosr.matrix import _bits
 from cosr.oracle import brute_maximal_cliques, random_instance
 from cosr.solver import _find_rule2_cycle, _rule2_c4
@@ -299,6 +300,66 @@ def test_helly_candidates_match_their_definition():
         kinds["zero"] += 0 in M.rows
         kinds["twin"] += len(set(M.rows)) < M.m
     assert min(kinds.values()) > 100, kinds
+
+
+def _copied_rows(rng, n, distinct, fewest, most):
+    """``distinct`` nonzero rows over n columns, each fewest..most times, in
+    shuffled order."""
+    rows = [mask for mask in rng.sample(range(1, 1 << n), distinct) for _ in range(rng.randint(fewest, most))]
+    rng.shuffle(rows)
+    return tuple(rows)
+
+
+def test_helly_scan_over_first_live_copies_finds_the_live_hit():
+    # Rule 1 scans ``_first_live_copies``: the first live copy of each row.
+    # Nodes follow the rule-1 branch tree three levels down with the
+    # solver's resume starts (0 at the root, the parent's first hit row
+    # below it), and random live masks lacking up to 3 rows start at 0.
+    rng = random.Random(67)
+    seen = {"hit": 0, "clean": 0, "hit through a later copy": 0}
+    for t in range(240):
+        n = 4 + t % 4
+        rows = _copied_rows(rng, n, 3 + t % 6, 2, 4)
+        _, _, cand = _incidence(rows, n)
+        firsts, later_copy = _copies(rows)
+        full = (1 << len(rows)) - 1
+        nodes = [(full & ~sum(1 << p for p in rng.sample(range(len(rows)), rng.randint(1, 3))), 0)
+                 for _ in range(4)]
+        frontier = [(full, 0)]
+        for _ in range(4):
+            deeper = []
+            for live, start in frontier:
+                nodes.append((live, start))
+                hit = _helly_scan(rows, cand, live & -(1 << start))
+                if hit is not None and live.bit_count() > len(rows) - 3:
+                    deeper += [(live & ~(1 << p), hit[0][0]) for p in hit[0]]
+            frontier = deeper
+        for live, start in nodes:
+            reps = _first_live_copies(live, firsts, later_copy)
+            first_at = {}
+            for p in _bits(live):
+                first_at.setdefault(rows[p], p)
+            assert reps == sum(1 << p for p in first_at.values()), (rows, live)
+            want = _helly_scan(rows, cand, live & -(1 << start))
+            assert _helly_scan(rows, cand, reps & -(1 << start)) == want, (rows, live, start)
+            seen["clean" if want is None else "hit"] += 1
+            seen["hit through a later copy"] += want is not None and any(not firsts >> p & 1 for p in want[0])
+    assert min(seen.values()) > 500, seen
+
+
+def test_incidence_shares_masks_across_copies():
+    # Planted-style families and random families, each row 3 or more times:
+    # every mask keeps its per-row definition.
+    rng = random.Random(68)
+    families = [_planted_family(rng, 20 + 10 * t, 3 + t % 2, 10, 2).rows for t in range(4)]
+    families += [_copied_rows(rng, 3 + t % 5, 1 + t % 7, 3, 5) for t in range(60)]
+    for rows in families:
+        n = max(rows).bit_length() + 1
+        cols, meets, cand = _incidence(rows, n)
+        assert cols == [sum(1 << r for r, x in enumerate(rows) if x >> c & 1) for c in range(n)]
+        assert meets == [sum(1 << s for s, y in enumerate(rows) if x & y) for x in rows]
+        assert cand == [sum(1 << s for s, y in enumerate(rows) if x & y and x & ~y) for x in rows]
+    assert all(2 * len(set(rows)) < len(rows) for rows in families)
 
 
 def test_a_triple_with_a_nested_pair_is_clean():
@@ -731,3 +792,17 @@ def test_graph_rejects_loops_and_unknown_vertices():
         Graph([1, 2], [(1, 1)])
     with pytest.raises(ValueError):
         Graph([1, 2], [(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u0663 1\n1 2\n", "line 1: expected header 'n m', got '\u0663 1'"),
+        ("3 1\n1 \u0663\n", "line 2: expected edge 'u v', got '1 \u0663'"),
+        ("3 1\n1\u00b2 3\n", "line 2: expected edge 'u v', got '1\u00b2 3'"),
+    ],
+)
+def test_graph_file_numbers_take_ascii_digits_only(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message

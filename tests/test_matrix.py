@@ -279,3 +279,23 @@ def test_parse_rejects_cells_outside_zero_one(text, message, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert run(["check-cop", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # "\u00b2" (superscript two) passes str.isdigit() but not int();
+        # "\u0662" (Arabic-Indic two) passes both and would read as m = 2.
+        ("2\u00b2 1\n1\n1\n", "line 1: expected header 'm n', got '2\u00b2 1'"),
+        ("\u0662 1\n1\n1\n", "line 1: expected header 'm n', got '\u0662 1'"),
+        ("# note\n2 \uff11\n1\n1\n", "line 2: expected header 'm n', got '2 \uff11'"),
+    ],
+)
+def test_header_counts_take_ascii_digits_only(text, message, tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check-cop", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
 from cosr import Graph, GuardError, parse_matrix, verify_cop
 from cosr.oracle import (
+    _has_cop,
+    _merge_twins,
+    _order_search,
     brute_cop,
     brute_cosr,
     brute_interval_deletion,
@@ -128,3 +133,25 @@ def test_brute_cosr_keeps_no_state_between_calls():
     for seed in range(40):
         brute_cosr(random_instance(seed, 8, 7, 0.5), 3)
     assert sizes() == before
+
+
+def test_merging_twin_columns_keeps_the_verdict():
+    # ``brute_cosr`` decides each subset on the merged columns; the column
+    # order search on the columns as given must agree.
+    rng = random.Random(71)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        m, k = rng.randint(3, 7), rng.randint(3, 6)
+        base = [rng.getrandbits(m) for _ in range(k)]  # a column is the rows holding it
+        columns = base + [rng.choice(base) for _ in range(rng.randint(0, 4))] + [0] * rng.randint(0, 3)
+        rng.shuffle(columns)
+        rows = tuple(sum(1 << c for c, held in enumerate(columns) if held >> i & 1) for i in range(m))
+        masks = sorted({mask for mask in rows if mask.bit_count() >= 2})
+        n, merged = _merge_twins(masks)
+        holders = {sum((mask >> c & 1) << i for i, mask in enumerate(masks)) for c in range(len(columns))}
+        assert n == len(holders - {0})  # one column per twin class, none unheld
+        want = _order_search(len(columns), masks) is not None
+        assert (_order_search(n, merged) is not None) == want, rows
+        assert _has_cop(rows, {}) == want, rows
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 100, verdicts

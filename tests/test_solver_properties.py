@@ -20,7 +20,7 @@ from cosr import BinaryMatrix, Graph, cos_r, delete_rows, half_adjacency, verify
 from cosr import find_helly_violation, find_uncovered_clique  # noqa: E402
 from cosr.cop import _cop_positions  # noqa: E402
 from cosr.graphs import _incidence, _scan_column_pairs  # noqa: E402
-from cosr.oracle import brute_cop, brute_cosr  # noqa: E402
+from cosr.oracle import brute_cosr  # noqa: E402
 from cosr.solver import _find_rule2_cycle  # noqa: E402
 import tucker  # noqa: E402
 
@@ -165,18 +165,14 @@ def test_an_uncovered_core_of_t_rows_needs_t_minus_2_deletions(M):
     # Rule 3's bound: with rules 1 and 2 clean, at most 2 rows of a minimal
     # uncovered core survive in a COP order, so a node whose budget is
     # below t - 2 has no solution. COP is hereditary, so it is enough that
-    # no 3 core rows have it, by brute force over one column per distinct
-    # column of the three (twin columns can sit side by side); a core of at
-    # most 5 rows is also checked against the optimum.
+    # no 3 core rows have it, by brute force; a core of at most 5 rows is
+    # also checked against the optimum.
     assume(find_helly_violation(M) is None and _find_rule2_cycle(M) is None)
     found = find_uncovered_clique(M)
     assume(found is not None)
     core = sorted(found[1])
     for rows in combinations(core, 3):
-        masks = [M.rows[M.row_index[r]] for r in rows]
-        kinds = sorted({tuple(mask >> j & 1 for mask in masks) for j in range(M.n)} - {(0, 0, 0)})
-        T = BinaryMatrix(rows, tuple(range(len(kinds))), tuple(sum(k[i] << j for j, k in enumerate(kinds)) for i in range(3)))
-        assert brute_cop(T) is None, (M, rows)
+        assert brute_cosr(delete_rows(M, set(M.row_ids) - set(rows)), 0) is None, (M, rows)
     if len(core) <= 5:
         assert brute_cosr(M, len(core) - 3) is None
 
