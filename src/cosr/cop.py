@@ -68,8 +68,11 @@ def _component_blocks(sets: list[int], members: Sequence[int], blk: list[int]) -
     # 0. ``blk``, scratch with an entry per column, maps placed ones to blocks.
     placed = sets[members[0]]
     mask, prv, nxt = [0, placed], [1, 0], [1, 0]
-    for p in _bits(placed):
-        blk[p] = 1
+    first = placed
+    while first:
+        low = first & -first
+        blk[low.bit_length() - 1] = 1
+        first ^= low
     for i in members[1:]:
         s = sets[i]
         # Lemma: the blocks partition the placed columns, so s meets exactly
@@ -196,33 +199,21 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
     cls_of = [0] * n  # column -> class id
     cols = [(1 << n) - 1]  # class id -> its column mask
     mem = [0]  # class id -> mask of visited sets holding it
-    for i in sorted(range(k), key=lambda i: -sets[i].bit_count()):
+    size = [-s.bit_count() for s in sets]
+    for i in sorted(range(k), key=size.__getitem__):
         s, bit = sets[i], 1 << i
         up[i], span[i] = i, bit
-        touched = []
+        # One walk over the classes S touches reads their ``mem`` and splits
+        # them. A class leaves ``rest`` before it splits, and both sides keep
+        # columns outside ``rest``, so the walk never meets a new class.
+        held, common = 0, -1
         rest = s
         while rest:
             c = cls_of[(rest & -rest).bit_length() - 1]
-            rest &= ~cols[c]
-            touched.append(c)
-        if len(touched) > 1:
-            held, common = 0, -1
-            for c in touched:
-                held |= mem[c]
-                common &= mem[c]
-            over = held & ~common
-            while over:
-                low = over & -over
-                j = low.bit_length() - 1
-                adj[i] |= low
-                adj[j] |= bit
-                while up[j] != j:
-                    up[j] = j = up[up[j]]
-                over &= ~span[j]
-                up[j] = i
-                span[i] |= span[j]
-        for c in touched:
             inside = cols[c] & s
+            rest ^= inside
+            held |= mem[c]
+            common &= mem[c]
             outside = cols[c] ^ inside
             if not outside:
                 mem[c] |= bit
@@ -234,9 +225,23 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
                 moved, cols[c] = outside, inside
                 mem.append(mem[c])
                 mem[c] |= bit
-            for p in _bits(moved):
-                cls_of[p] = len(cols)
+            x = len(cols)
             cols.append(moved)
+            while moved:
+                low = moved & -moved
+                cls_of[low.bit_length() - 1] = x
+                moved ^= low
+        over = held & ~common  # 0 when S touches one class
+        while over:
+            low = over & -over
+            j = low.bit_length() - 1
+            adj[i] |= low
+            adj[j] |= bit
+            while up[j] != j:
+                up[j] = j = up[up[j]]
+            over &= ~span[j]
+            up[j] = i
+            span[i] |= span[j]
     # Lemma: let s0 be a component's lowest set and s1 the lowest set s0
     # overlaps. The later visited of the two joins the other's component by
     # its lowest overlap there, the other one; so s0-s1 is an edge, and s0's
@@ -259,7 +264,7 @@ def _cop_positions(rows: Iterable[int], n: int, budget: int | None = None) -> li
     disjoint sets, COP is hereditary, and a component keeps all its sets
     until every row of one of them is deleted.
     """
-    sets = list(dict.fromkeys(mask for mask in rows if mask.bit_count() >= 2))
+    sets = [mask for mask in dict.fromkeys(rows) if mask.bit_count() >= 2]
     k = len(sets)
     adj = _overlaps_by_pairs(sets) if k < _PAIR_TEST_BELOW else _overlaps_by_refinement(sets, n)
 

@@ -101,37 +101,54 @@ class HellyViolation:
     kind: str
 
 
-def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[int]]:
-    """Row incidence masks over the positions in ``rows``.
+def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[int], int, list[int]]:
+    """Row incidence masks over the positions in ``rows``, and their copy links.
 
     ``cols[c]`` has bit r when row r holds column c, and ``meets[r]`` has
     bit s when rows r and s share a column; a nonempty row meets itself.
     ``cand[r]`` has bit s when rows r and s meet and s lacks a column of r.
     Equal rows have equal ``meets`` and ``cand``, so each distinct row is
-    read once and its positions share its two masks.
+    read once and its positions share its two masks. ``firsts`` masks the
+    first copy of each distinct row, and ``later_copy[r]`` is the position
+    of the next row equal to row r, or -1.
     """
-    positions: dict[int, int] = {}  # each distinct row, with the positions holding it
+    copies: dict[int, list[int]] = {}  # each distinct row: the positions holding it, and the latest
+    later_copy = [-1] * len(rows)
+    firsts = 0
     for r, mask in enumerate(rows):
-        positions[mask] = positions.get(mask, 0) | 1 << r
-    supports = {mask: [*_bits(mask)] for mask in positions}
+        seen = copies.get(mask)
+        if seen is None:
+            firsts |= 1 << r
+            copies[mask] = [1 << r, r]
+        else:
+            later_copy[seen[1]] = r
+            seen[0] |= 1 << r
+            seen[1] = r
     cols = [0] * n
-    for mask, support_r in supports.items():
-        for c in support_r:
-            cols[c] |= positions[mask]
+    supports = []
+    for mask, (at, _) in copies.items():  # each distinct row's support, and its bits in ``cols``
+        support_r = []
+        while mask:
+            low = mask & -mask
+            c = low.bit_length() - 1
+            support_r.append(c)
+            cols[c] |= at
+            mask ^= low
+        supports.append(support_r)
     meets, cand = {}, {}
-    for mask, support_r in supports.items():
+    for mask, support_r in zip(copies, supports):
         meet, common = 0, -1
         for c in support_r:
             meet |= cols[c]
             common &= cols[c]
         meets[mask], cand[mask] = meet, meet & ~common
-    return cols, [*map(meets.__getitem__, rows)], [*map(cand.__getitem__, rows)]
+    return cols, [*map(meets.__getitem__, rows)], [*map(cand.__getitem__, rows)], firsts, later_copy
 
 
 def derived_graph(M: BinaryMatrix) -> Graph:
     """One vertex per row; an edge where two rows share a 1-column."""
     pairs = sorted(zip(M.row_ids, M.rows))  # graph positions ascend with labels
-    _, meets, _ = _incidence([mask for _, mask in pairs], M.n)
+    meets = _incidence([mask for _, mask in pairs], M.n)[1]
     G = Graph(label for label, _ in pairs)
     G._adj = [meet & ~(1 << v) for v, meet in enumerate(meets)]
     return G
@@ -166,19 +183,6 @@ def _helly_scan(rows: Sequence[int], cand: list[int], live: int) -> tuple[tuple[
     return None
 
 
-def _copies(rows: Sequence[int]) -> tuple[int, list[int]]:
-    """The mask of the first copy of each distinct row, and by position the
-    position of the next equal row, or -1."""
-    firsts, later_copy, last = 0, [-1] * len(rows), {}
-    for p, mask in enumerate(rows):
-        if mask in last:
-            later_copy[last[mask]] = p
-        else:
-            firsts |= 1 << p
-        last[mask] = p
-    return firsts, later_copy
-
-
 def _first_live_copies(live: int, firsts: int, later_copy: list[int]) -> int:
     """The first copy in ``live`` of each row that has one there."""
     reps = live & firsts
@@ -194,7 +198,8 @@ def _first_live_copies(live: int, firsts: int, later_copy: list[int]) -> int:
 def find_helly_violation(M: BinaryMatrix) -> HellyViolation | None:
     """First row triple (in matrix row order) violating H1 or H2, by
     ``_helly_scan`` over the first copy of each row (see ``cosr.solver``)."""
-    hit = _helly_scan(M.rows, _incidence(M.rows, M.n)[2], _copies(M.rows)[0])
+    _, _, cand, firsts, _ = _incidence(M.rows, M.n)
+    hit = _helly_scan(M.rows, cand, firsts)
     if hit is None:
         return None
     return HellyViolation(tuple(M.row_ids[p] for p in hit[0]), hit[1])
@@ -370,7 +375,7 @@ def find_uncovered_clique(M: BinaryMatrix) -> tuple[frozenset[int], frozenset[in
     are deliberately not treated as uncovered cliques; they cannot affect
     whether the matrix can reach the consecutive ones property.
     """
-    cols, meets, _ = _incidence(M.rows, M.n)
+    cols, meets, *_ = _incidence(M.rows, M.n)
     pair, candidates = _scan_column_pairs(cols, meets, (1 << M.m) - 1)
     if pair is not None:
         a, b = (M.col_ids[c] for c in pair)

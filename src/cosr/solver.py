@@ -55,7 +55,7 @@ from typing import Callable, Collection, Iterable
 # ``find_uncovered_clique``, ``interval_deletion``, ``pair_subgraph`` and
 # ``set_system`` stay here for the benchmark's tracer, which wraps them in
 # ``cosr.solver`` by name.
-from .graphs import Graph, _c4, _copies, _first_live_copies, _helly_scan, _incidence, _inherited_cliques
+from .graphs import Graph, _c4, _first_live_copies, _helly_scan, _incidence, _inherited_cliques
 from .graphs import _scan_column_pairs, _uncovered_core, derived_graph
 from .graphs import find_c4, find_helly_violation, find_uncovered_clique, pair_subgraph  # noqa: F401
 from .interval import _interval_deletion, interval_deletion  # noqa: F401
@@ -108,7 +108,7 @@ class SolveReport:
 
 def _find_rule2_cycle(M: BinaryMatrix) -> tuple[int, ...] | None:
     """Rows of the first induced 4-cycle over all column-pair subgraphs."""
-    cols, meets, _ = _incidence(M.rows, M.n)
+    cols, meets, *_ = _incidence(M.rows, M.n)
     pair, _ = _scan_column_pairs(cols, meets, (1 << M.m) - 1)
     if pair is None:
         return None
@@ -173,8 +173,7 @@ def _solve(
     # no budget left is not refuted here; its rules decide its counters.
     if 0 < d < found:
         return None
-    cols, meets, cand = _incidence(M.rows, M.n)
-    firsts, later_copy = _copies(M.rows)
+    cols, meets, cand, firsts, later_copy = _incidence(M.rows, M.n)
     stack: list[tuple[int, int, Collection[int] | None]] = [(full, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:

@@ -23,7 +23,7 @@ from cosr import (
     parse_matrix,
     support,
 )
-from cosr.graphs import _copies, _first_live_copies, _helly_scan, _incidence, _maximal, _mcs_order
+from cosr.graphs import _first_live_copies, _helly_scan, _incidence, _maximal, _mcs_order
 from cosr.graphs import _peo_cliques, _scan_column_pairs, _uncovered_core
 from cosr.matrix import _bits
 from cosr.oracle import brute_maximal_cliques, random_instance
@@ -266,7 +266,7 @@ def test_nested_pair_skips_match_the_triple_scan_at_planted_scale():
     for t in range(24):
         M = _planted_family(rng, 30 + 5 * t, 2 + t % 2, 30 + 5 * t, 1 + t % 4)
         sizes.append(M.m)
-        cols, meets, cand = _incidence(M.rows, M.n)
+        cols, meets, cand, _, _ = _incidence(M.rows, M.n)
         if t < 4:  # ``cand`` by its definition: meeting rows, less those holding the row
             assert cand == [meet & ~sum(1 << s for s, y in enumerate(M.rows) if not x & ~y)
                             for x, meet in zip(M.rows, meets)]
@@ -320,8 +320,7 @@ def test_helly_scan_over_first_live_copies_finds_the_live_hit():
     for t in range(240):
         n = 4 + t % 4
         rows = _copied_rows(rng, n, 3 + t % 6, 2, 4)
-        _, _, cand = _incidence(rows, n)
-        firsts, later_copy = _copies(rows)
+        _, _, cand, firsts, later_copy = _incidence(rows, n)
         full = (1 << len(rows)) - 1
         nodes = [(full & ~sum(1 << p for p in rng.sample(range(len(rows)), rng.randint(1, 3))), 0)
                  for _ in range(4)]
@@ -355,7 +354,7 @@ def test_incidence_shares_masks_across_copies():
     families += [_copied_rows(rng, 3 + t % 5, 1 + t % 7, 3, 5) for t in range(60)]
     for rows in families:
         n = max(rows).bit_length() + 1
-        cols, meets, cand = _incidence(rows, n)
+        cols, meets, cand, _, _ = _incidence(rows, n)
         assert cols == [sum(1 << r for r, x in enumerate(rows) if x >> c & 1) for c in range(n)]
         assert meets == [sum(1 << s for s, y in enumerate(rows) if x & y) for x in rows]
         assert cand == [sum(1 << s for s, y in enumerate(rows) if x & y and x & ~y) for x in rows]
@@ -643,7 +642,7 @@ def _pass_against_the_two_scans(M, drop):
         filter(None, (find_c4(pair_subgraph(sub, a, b)) for a, b in combinations(sub.col_ids, 2))), None
     )
     assert _find_rule2_cycle(sub) == cycle, (M, drop)
-    cols, meets, _ = _incidence(M.rows, M.n)
+    cols, meets, _, _, _ = _incidence(M.rows, M.n)
     pair, candidates = _scan_column_pairs(cols, meets, _live(M, drop))
     uncovered = None if pair is not None else _uncovered_core(M.row_ids, cols, candidates)
     if uncovered is not None:

@@ -225,7 +225,7 @@ def test_rule3_children_inherit_the_cliques_their_scan_lists(M):
 
     def fresh(cliques, live):
         got = inner(cliques, live)
-        cols, meets, _ = _incidence(M.rows, M.n)
+        cols, meets, _, _, _ = _incidence(M.rows, M.n)
         pair, listed = _scan_column_pairs(cols, meets, live)
         assert pair is None and sorted(got) == sorted(listed), (M, live)
         checked.append(live)
