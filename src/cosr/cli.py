@@ -109,10 +109,11 @@ def _cmd_gen(args) -> int:
 
 
 def _nonnegative(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return number
+    """ASCII digits only, as in the file formats: ``int`` alone would also
+    take other scripts' digits and underscores."""
+    if not (value.isascii() and value.isdigit()):
+        raise argparse.ArgumentTypeError("must be an integer >= 0")
+    return int(value)
 
 
 @cache

@@ -162,6 +162,25 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spelling", ["\u0662", "1_0"])
+@pytest.mark.parametrize("command", ["solve", "interval-deletion", "gen"])
+def test_count_options_take_ascii_digits_only(command, spelling, tmp_path, capsys):
+    # ``int`` reads "\u0662" (Arabic-Indic two) as 2 and "1_0" as 10; the
+    # options, like the file formats, take ASCII digits only.
+    matrix, graph = tmp_path / "m.txt", tmp_path / "g.txt"
+    matrix.write_text(IDENT3_TEXT)
+    graph.write_text("3 2\n1 2\n2 3\n")
+    argv = {
+        "solve": ["solve", "--d", spelling, str(matrix)],
+        "interval-deletion": ["interval-deletion", "--d", spelling, str(graph)],
+        "gen": ["gen", "--rows", spelling, "--cols", "3", "--density", "0.5", "--seed", "1"],
+    }[command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "must be an integer >= 0" in captured.err
+
+
 def test_missing_file_is_reported(capsys):
     assert run(["check-cop", "/definitely/not/here.txt"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -18,7 +18,9 @@ from cosr import (
 )
 from cosr.cop import (
     _PAIR_TEST_BELOW,
+    _consecutive,
     _cop_positions,
+    _nest,
     _overlaps_by_pairs,
     _overlaps_by_refinement,
 )
@@ -428,13 +430,15 @@ def test_overlap_builders_agree():
 
 def test_both_overlap_builders_give_the_same_certificates(monkeypatch):
     # The forest lemma at _overlaps_by_refinement: whichever builder runs,
-    # _cop_positions returns the same positions, or None from both.
+    # _cop_positions returns the same positions, or None from both. Random
+    # runs, then side-by-side, nested and equal-union components.
     import cosr.cop
 
     rng = random.Random(53)
     verdicts = Counter()
-    for _ in range(600):
-        rows, n = _component_family(rng, rng.randint(2, 120))
+    families = [_component_family(rng, rng.randint(2, 120)) for _ in range(600)]
+    families += [_laminar_family(rng, kind) for kind in _LAMINAR_KINDS for _ in range(100)]
+    for rows, n in families:
         answers = []
         for cut in (10**9, 0):
             monkeypatch.setattr(cosr.cop, "_PAIR_TEST_BELOW", cut)
@@ -513,6 +517,119 @@ def _component_family(rng, k=None):
     for _ in range(rng.choice((0, 0, 1, 2))):  # a gap or a stray column
         rows[rng.randrange(k)] ^= 1 << order[rng.randrange(n)]
     return rows, n
+
+
+_LAMINAR_KINDS = ("block-diagonal", "nested", "equal-union")
+
+
+def _laminar_family(rng, kind):
+    """Components of runs of a hidden column order, some spoiled by one
+    flipped cell: side by side on disjoint columns ("block-diagonal"),
+    placed inside earlier components' unions ("nested"), or nested with a
+    set equal to each two-set component's union ("equal-union")."""
+    n = rng.randint(3, 60) if kind != "block-diagonal" else rng.randint(6, 240)
+    order = list(range(n))
+    rng.shuffle(order)
+    if kind == "block-diagonal":  # one component per piece of a partition
+        cuts = sorted(rng.sample(range(3, n - 2), rng.randint(0, (n - 6) // 3)))
+        cuts = [c for i, c in enumerate(cuts) if i == 0 or c - cuts[i - 1] >= 3]
+        segments = list(zip([0] + cuts, [c - 1 for c in cuts] + [n - 1]))
+    else:
+        segments = [(0, n - 1)]
+    runs = []
+    for t in range(len(segments) if kind == "block-diagonal" else rng.randint(1, 30)):
+        lo, hi = segments[t] if kind == "block-diagonal" else rng.choice(segments)
+        if hi - lo < 2:
+            continue
+        a = rng.randint(lo, hi - 2)
+        e = rng.randint(a + 2, hi)
+        if rng.random() < 0.25:  # a one-set component
+            runs.append((a, e))
+        else:  # [a, x] and [b, e] overlap strictly
+            b = rng.randint(a + 1, e - 1)
+            x = rng.randint(b, e - 1)
+            runs += [(a, x), (b, e)] + [(a, e)] * (kind == "equal-union")
+        if kind != "block-diagonal":
+            segments.append((a, e))
+    rows = [sum(1 << order[p] for p in range(a, e + 1)) for a, e in runs]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(len(rows))] ^= 1 << order[rng.randrange(n)]
+    rng.shuffle(rows)
+    return rows, n
+
+
+def _nest_by_scan(unions, blocks):
+    """The container scan that ``_nest`` replaced: each component goes into
+    the last placed component whose union holds its own, in the block that
+    holds it, with components placed by non-increasing union size, then
+    fewer blocks, then index."""
+    insertion = sorted(range(len(unions)), key=lambda c: (-unions[c].bit_count(), len(blocks[c]), c))
+    roots, children, placed = [], [[[] for _ in comp] for comp in blocks], []
+    for c in insertion:
+        u = unions[c]
+        for best in reversed(placed):
+            if not u & ~unions[best]:
+                slot = next(i for i, block in enumerate(blocks[best]) if not u & ~block)
+                children[best][slot].append(c)
+                break
+        else:
+            roots.append(c)
+        placed.append(c)
+    return roots, children
+
+
+def test_nesting_matches_the_container_scan(monkeypatch):
+    # ``_nest`` finds each component's container through the innermost block
+    # of several that holds its lowest column, then the one-set components
+    # placed since; it must nest exactly as the scan over every placed
+    # component, so the certificates stay the same. Budgets None and 0-2.
+    import cosr.cop
+
+    seen = Counter()
+
+    def checked(unions, blocks, n):
+        got = _nest(unions, blocks, n)
+        assert got == _nest_by_scan(unions, blocks), (unions, blocks)
+        seen["families"] += 1
+        seen["nested"] += any(kids for comp in got[1] for kids in comp)
+        seen["10+ components"] += len(unions) >= 10
+        seen["equal unions"] += len(set(unions)) < len(unions)
+        return got
+
+    monkeypatch.setattr(cosr.cop, "_nest", checked)
+    rng = random.Random(59)
+    verdicts = Counter()
+    for t in range(4000):
+        if t % 2:
+            rows, n = _laminar_family(rng, _LAMINAR_KINDS[t // 2 % 3])
+        else:
+            rows, n = _component_family(rng)
+        budget = (None, 0, 1, 2)[t % 4]
+        found = _cop_positions(rows, n, budget)
+        verdicts[type(found).__name__] += 1
+        if isinstance(found, list):
+            assert _consecutive(rows, found, n)
+    assert min(seen.values()) > 200 and min(verdicts.values()) > 200, (seen, verdicts)
+
+
+def test_side_by_side_components_nest_in_near_linear_time():
+    # 4,000 two-set components on disjoint columns, and 8,000 one-set ones,
+    # against a staircase with as many rows: scanning every placed component
+    # for a container took 28x the staircase's time on the first; ``_nest``
+    # keeps both within 3x.
+    import time
+
+    def best(rows, n):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert isinstance(_cop_positions(rows, n), list)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    staircase = best([(2 << r) - 1 for r in range(1, 8001)], 8001)
+    assert best([mask << 3 * i for i in range(4000) for mask in (0b011, 0b110)], 12000) < 3 * staircase
+    assert best([0b11 << 2 * i for i in range(8000)], 16000) < 3 * staircase
 
 
 def test_linked_block_sequence_matches_the_list_insertion(monkeypatch):

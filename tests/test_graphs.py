@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -359,6 +360,28 @@ def test_incidence_shares_masks_across_copies():
         assert meets == [sum(1 << s for s, y in enumerate(rows) if x & y) for x in rows]
         assert cand == [sum(1 << s for s, y in enumerate(rows) if x & y and x & ~y) for x in rows]
     assert all(2 * len(set(rows)) < len(rows) for rows in families)
+
+
+def test_incidence_copy_links_match_their_definition():
+    # ``firsts`` masks each row's first occurrence and ``later_copy[r]`` is
+    # the next position holding row r's mask, or -1: on random matrices with
+    # repeated rows, all-zero rows, no rows, and no columns.
+    rng = random.Random(69)
+    seen = Counter()
+    for t in range(400):
+        m, n = rng.randint(0, 12), t % 6
+        rows = [rng.getrandbits(n) if rng.random() < 0.6 else 0 for _ in range(m)]
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 4) if rows else 0)]
+        rng.shuffle(rows)
+        _, _, _, firsts, later_copy = _incidence(rows, n)
+        assert firsts == sum(1 << r for r, x in enumerate(rows) if x not in rows[:r]), rows
+        assert later_copy == [next((s for s in range(r + 1, len(rows)) if rows[s] == x), -1)
+                              for r, x in enumerate(rows)], rows
+        seen["repeats"] += len(set(rows)) < len(rows)
+        seen["zero rows"] += rows.count(0) > 1
+        seen["no columns"] += n == 0 and len(rows) > 1
+        seen["no rows"] += not rows
+    assert min(seen.values()) > 10, seen
 
 
 def test_a_triple_with_a_nested_pair_is_clean():
