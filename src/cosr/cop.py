@@ -201,13 +201,14 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
     cls_of = [0] * n  # column -> class id
     cols = [(1 << n) - 1]  # class id -> its column mask
     mem = [0]  # class id -> mask of visited sets holding it
-    size = [-s.bit_count() for s in sets]
-    for i in sorted(range(k), key=size.__getitem__):
+    size = [s.bit_count() for s in sets]
+    for i in sorted(range(k), key=size.__getitem__, reverse=True):  # stable: ties by index
         s, bit = sets[i], 1 << i
         up[i], span[i] = i, bit
         # One walk over the classes S touches reads their ``mem`` and splits
-        # them. A class leaves ``rest`` before it splits, and both sides keep
-        # columns outside ``rest``, so the walk never meets a new class.
+        # them. A class's columns in S leave ``rest`` before it splits, so
+        # neither side holds a column of ``rest``: the walk meets no new
+        # class and reads each ``mem`` before a split changes it.
         held, common = 0, -1
         rest = s
         while rest:
