@@ -20,6 +20,9 @@ A component's blocks form a linked list, with a map from each placed
 column to its block. A set meets exactly the blocks holding its placed
 columns, so inserting it takes time in proportion to the set, plus
 O(log n) relabels per column in all: a split relabels its smaller side.
+Components then nest through a map from each column to the innermost
+placed component holding it, so side-by-side components cost their
+columns, not a scan of every component placed before them.
 """
 
 from __future__ import annotations
