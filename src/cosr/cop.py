@@ -20,9 +20,6 @@ A component's blocks form a linked list, with a map from each placed
 column to its block. A set meets exactly the blocks holding its placed
 columns, so inserting it takes time in proportion to the set, plus
 O(log n) relabels per column in all: a split relabels its smaller side.
-Components then nest through a map from each column to the innermost
-placed component holding it, so side-by-side components cost their
-columns, not a scan of every component placed before them.
 """
 
 from __future__ import annotations
@@ -261,66 +258,6 @@ def _overlaps_by_refinement(sets: list[int], n: int) -> list[int]:
     return adj
 
 
-def _nest(unions: list[int], blocks: list[list[int]], n: int) -> tuple[list[int], list[list[list[int]]]]:
-    """The top-level components, and the child components of each block of
-    each component, given each one's union and block sequence over n columns.
-
-    Component unions form a laminar family; each one nests inside the
-    unique block of its tightest container. Equal unions are possible (a
-    one-set component shadowing another component's span), in which case
-    the single-block component is made the ancestor. Each list of children
-    is in the order the components are placed.
-    """
-    # Components are indexed in order of their lowest set, so a stable sort
-    # breaks the remaining ties by it.
-    insertion = sorted(range(len(unions)), key=lambda c: (-unions[c].bit_count(), len(blocks[c])))
-    roots: list[int] = []
-    children = [[[] for _ in comp] for comp in blocks]
-    # Unions are placed in non-increasing size, so the last placed container
-    # is the tightest one, and of equal ones the latest. Lemma: a placed
-    # union meeting u holds u, as the unions are laminar.
-    # ``region`` maps each column to the last placed component holding it,
-    # as the block holding it, its child list and when it was placed; but
-    # the one-set components on ``chain`` are not in it yet. Each of those
-    # holds the next, and a component goes on the chain after its container,
-    # which is the chain's last one or lies inside it. A chain component
-    # that does not hold u is disjoint from u; it leaves the chain and enters
-    # ``region`` at the columns whose component there is older. Then every
-    # chain component holds u, so the container is the later placed of the
-    # chain's last one and the one ``region`` gives for u's lowest column.
-    # A one-set component costs O(1) while it stays on the chain, as in a
-    # staircase of nested rows, and its size once it leaves; a component
-    # with several blocks relabels its columns, which its blocks cost anyway.
-    region = [((1 << n) - 1, roots, -1)] * n
-    chain: list[tuple[int, list[int], int]] = []
-    for t, c in enumerate(insertion):
-        u = unions[c]
-        while chain and u & ~chain[-1][0]:
-            entry = chain.pop()
-            rest = entry[0]
-            while rest:
-                low = rest & -rest
-                p = low.bit_length() - 1
-                if region[p][2] < entry[2]:
-                    region[p] = entry
-                rest ^= low
-        block, slot, at = region[(u & -u).bit_length() - 1]
-        if chain and chain[-1][2] > at:
-            block, slot, _ = chain[-1]
-        assert not u & ~block, "nested component must fit inside one block"
-        slot.append(c)
-        if len(blocks[c]) == 1:
-            chain.append((u, children[c][0], t))
-            continue
-        for block, kids in zip(blocks[c], children[c]):
-            entry = block, kids, t
-            while block:
-                low = block & -block
-                region[low.bit_length() - 1] = entry
-                block ^= low
-    return roots, children
-
-
 def _cop_positions(rows: Iterable[int], n: int, budget: int | None = None) -> list[int] | int | None:
     """``cop_order`` on row masks over n columns: column positions, or None.
 
@@ -368,7 +305,34 @@ def _cop_positions(rows: Iterable[int], n: int, budget: int | None = None) -> li
     if failing:
         return None if budget is None else failing
 
-    roots, children = _nest(comp_union, comp_blocks, n)
+    # Component unions form a laminar family; nest each one inside the
+    # unique block of its tightest container. Equal unions are possible
+    # (a one-set component shadowing another component's span), in which
+    # case the single-block component is made the ancestor.
+    insertion = sorted(
+        range(len(comp_members)),
+        key=lambda c: (-comp_union[c].bit_count(), len(comp_blocks[c]), comp_members[c][0]),
+    )
+    children: dict[int, list[list[int]]] = {c: [[] for _ in comp_blocks[c]] for c in insertion}
+    roots: list[int] = []
+    placed_comps: list[int] = []
+    for c in insertion:
+        u = comp_union[c]
+        # Unions are placed in non-increasing size, so the last placed
+        # container is the tightest one, and of equal ones the latest.
+        for best in reversed(placed_comps):
+            if not u & ~comp_union[best]:
+                slot = None
+                for bi, block in enumerate(comp_blocks[best]):
+                    if u & ~block == 0:
+                        slot = bi
+                        break
+                assert slot is not None, "nested component must fit inside one block"
+                children[best][slot].append(c)
+                break
+        else:
+            roots.append(c)
+        placed_comps.append(c)
 
     def entries(blocks: list[int], kids: list[list[int]]) -> list[int]:
         """Child components (as ``c``) and uncovered positions (as ``~p``)

@@ -20,7 +20,6 @@ from cosr.cop import (
     _PAIR_TEST_BELOW,
     _consecutive,
     _cop_positions,
-    _nest,
     _overlaps_by_pairs,
     _overlaps_by_refinement,
 )
@@ -430,8 +429,9 @@ def test_overlap_builders_agree():
 
 def test_both_overlap_builders_give_the_same_certificates(monkeypatch):
     # The forest lemma at _overlaps_by_refinement: whichever builder runs,
-    # _cop_positions returns the same positions, or None from both. Random
-    # runs, then side-by-side, nested and equal-union components.
+    # _cop_positions returns the same positions, or None from both, and the
+    # positions make every row consecutive. Random runs, then side-by-side,
+    # nested and equal-union components.
     import cosr.cop
 
     rng = random.Random(53)
@@ -444,6 +444,7 @@ def test_both_overlap_builders_give_the_same_certificates(monkeypatch):
             monkeypatch.setattr(cosr.cop, "_PAIR_TEST_BELOW", cut)
             answers.append(_cop_positions(rows, n))
         assert answers[0] == answers[1], (rows, n)
+        assert answers[0] is None or _consecutive(rows, answers[0], n)
         verdicts[answers[0] is None] += 1
     assert min(verdicts.values()) > 100, verdicts
 
@@ -556,80 +557,6 @@ def _laminar_family(rng, kind):
         rows[rng.randrange(len(rows))] ^= 1 << order[rng.randrange(n)]
     rng.shuffle(rows)
     return rows, n
-
-
-def _nest_by_scan(unions, blocks):
-    """The container scan that ``_nest`` replaced: each component goes into
-    the last placed component whose union holds its own, in the block that
-    holds it, with components placed by non-increasing union size, then
-    fewer blocks, then index."""
-    insertion = sorted(range(len(unions)), key=lambda c: (-unions[c].bit_count(), len(blocks[c]), c))
-    roots, children, placed = [], [[[] for _ in comp] for comp in blocks], []
-    for c in insertion:
-        u = unions[c]
-        for best in reversed(placed):
-            if not u & ~unions[best]:
-                slot = next(i for i, block in enumerate(blocks[best]) if not u & ~block)
-                children[best][slot].append(c)
-                break
-        else:
-            roots.append(c)
-        placed.append(c)
-    return roots, children
-
-
-def test_nesting_matches_the_container_scan(monkeypatch):
-    # ``_nest`` finds each component's container through the innermost block
-    # of several that holds its lowest column, then the one-set components
-    # placed since; it must nest exactly as the scan over every placed
-    # component, so the certificates stay the same. Budgets None and 0-2.
-    import cosr.cop
-
-    seen = Counter()
-
-    def checked(unions, blocks, n):
-        got = _nest(unions, blocks, n)
-        assert got == _nest_by_scan(unions, blocks), (unions, blocks)
-        seen["families"] += 1
-        seen["nested"] += any(kids for comp in got[1] for kids in comp)
-        seen["10+ components"] += len(unions) >= 10
-        seen["equal unions"] += len(set(unions)) < len(unions)
-        return got
-
-    monkeypatch.setattr(cosr.cop, "_nest", checked)
-    rng = random.Random(59)
-    verdicts = Counter()
-    for t in range(4000):
-        if t % 2:
-            rows, n = _laminar_family(rng, _LAMINAR_KINDS[t // 2 % 3])
-        else:
-            rows, n = _component_family(rng)
-        budget = (None, 0, 1, 2)[t % 4]
-        found = _cop_positions(rows, n, budget)
-        verdicts[type(found).__name__] += 1
-        if isinstance(found, list):
-            assert _consecutive(rows, found, n)
-    assert min(seen.values()) > 200 and min(verdicts.values()) > 200, (seen, verdicts)
-
-
-def test_side_by_side_components_nest_in_near_linear_time():
-    # 4,000 two-set components on disjoint columns, and 8,000 one-set ones,
-    # against a staircase with as many rows: scanning every placed component
-    # for a container took 28x the staircase's time on the first; ``_nest``
-    # keeps both within 3x.
-    import time
-
-    def best(rows, n):
-        times = []
-        for _ in range(2):
-            start = time.perf_counter()
-            assert isinstance(_cop_positions(rows, n), list)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    staircase = best([(2 << r) - 1 for r in range(1, 8001)], 8001)
-    assert best([mask << 3 * i for i in range(4000) for mask in (0b011, 0b110)], 12000) < 3 * staircase
-    assert best([0b11 << 2 * i for i in range(8000)], 16000) < 3 * staircase
 
 
 def test_linked_block_sequence_matches_the_list_insertion(monkeypatch):
