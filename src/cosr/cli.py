@@ -116,6 +116,24 @@ def _nonnegative(value: str) -> int:
     return int(value)
 
 
+def _integer(value: str) -> int:
+    """``_nonnegative``'s digits, after an optional minus sign."""
+    if not (value.isascii() and value.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError("must be an integer")
+    return int(value)
+
+
+def _number(value: str) -> float:
+    """A ``float`` spelled in ASCII without underscores, as ``float`` alone
+    would also take other scripts' digits and "1_0"."""
+    try:
+        if value.isascii() and "_" not in value:
+            return float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a number")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared."""
@@ -167,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a seeded random matrix file")
     p.add_argument("--rows", type=_nonnegative, required=True)
     p.add_argument("--cols", type=_nonnegative, required=True)
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--density", type=_number, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.set_defaults(func=_cmd_gen)
 

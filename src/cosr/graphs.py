@@ -305,12 +305,15 @@ def is_simplicial(G: Graph, v: int) -> bool:
 
 
 def _scan_column_pairs(
-    cols: list[int], meets: list[int], live: int
+    cols: list[int], meets: list[int], live: int, budget: int = 0
 ) -> tuple[tuple[int, int] | None, set[int] | None]:
     """Rules 2 and 3's scan in one pass over the ``live`` rows, given
     ``_incidence``'s ``cols`` and ``meets``: the first column pair, by position,
     whose subgraph is not chordal and None, or None and the pair subgraphs'
-    cliques that no live row extends, which ``_uncovered_core`` picks from."""
+    cliques that no live row extends, which ``_uncovered_core`` picks from.
+    At ``budget`` >= 1 it may stop at the first of those cliques whose core
+    needs more than ``budget`` deletions, and return None and that core
+    alone: rule 3 picks it and gives the node no children."""
     # ``meets`` serves as the adjacency: the search and ``_peo_cliques`` read
     # only ``meets[v] & live`` or ``meets[v] & later`` with ``later`` inside
     # ``live`` and never holding v, so each pass sees exactly the pair
@@ -329,8 +332,20 @@ def _scan_column_pairs(
                 common = live & ~clique
                 for v in _bits(clique):
                     common &= meets[v]
-                if not common:  # no live row extends the clique
-                    candidates.add(clique)
+                if common or clique in candidates:  # a live row extends it, or it is listed
+                    continue
+                candidates.add(clique)
+                # Rule 3's bound at first sight. Its lemma (at ``_solve``) uses
+                # only minimality: each row of a minimal set that no column
+                # holds misses a column that all its other rows hold, so a
+                # solution deletes all but 2 of its t >= 3 rows. It needs no
+                # label-order pick, maximal clique or scan clean of rule 2,
+                # and a node with less budget has no solution. With no budget
+                # the scan runs on, as it decides the node's counter.
+                if budget and clique.bit_count() - 2 > budget and not _covered(cols, clique):
+                    core = _minimal_uncovered(cols, clique, _bits(clique))
+                    if core.bit_count() - 2 > budget:
+                        return None, {core}
     return None, candidates
 
 
@@ -343,21 +358,29 @@ def _uncovered_core(ids: Sequence[int], cols: list[int], candidates: Iterable[in
     """Rule 3's pick among the candidate cliques of ``_scan_column_pairs``:
     ``find_uncovered_clique``'s answer, as row positions, with ``ids`` the
     row labels by position."""
-
-    def covered(group: int) -> bool:
-        return any(not group & ~vs for vs in cols)
-
     # Candidates, and members in the greedy shrink, go in label order.
     for clique in sorted(candidates, key=lambda c: sorted(ids[v] for v in _bits(c))):
-        if covered(clique):
+        if _covered(cols, clique):
             continue
-        minimal = clique
-        for v in sorted(_bits(clique), key=ids.__getitem__):
-            if not covered(minimal & ~(1 << v)):
-                minimal &= ~(1 << v)
+        minimal = _minimal_uncovered(cols, clique, sorted(_bits(clique), key=ids.__getitem__))
         assert minimal.bit_count() >= 3, "two clique members always share a column"
         return clique, minimal
     return None
+
+
+def _covered(cols: list[int], group: int) -> bool:
+    """Whether some column holds every row of ``group``."""
+    return any(not group & ~vs for vs in cols)
+
+
+def _minimal_uncovered(cols: list[int], group: int, members: Iterable[int]) -> int:
+    """A ``group`` that no column holds, shrunk greedily by dropping each of
+    ``members`` in turn while no column holds the rest: a subset of a held
+    set is held, so every row left is needed."""
+    for v in members:
+        if not _covered(cols, group & ~(1 << v)):
+            group &= ~(1 << v)
+    return group
 
 
 def find_uncovered_clique(M: BinaryMatrix) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -25,6 +25,7 @@ live mask, with one memo per graph. ``interval_deletion`` and
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 from typing import Callable
 
@@ -198,10 +199,11 @@ def interval_deletion(G: Graph, d: int, *, forbidden: frozenset[int] = frozenset
     witness vertices in ascending label order, so results are
     deterministic. Vertices in ``forbidden`` are never deleted, which
     restricts the search to solutions avoiding them (None then means no
-    such restricted solution exists).
+    such restricted solution exists). ``d`` must be an integer: a float
+    raises ``TypeError``.
     """
     removed, _ = _interval_deletion(
-        G._adj, (1 << G.n) - 1, d, _mask(G, forbidden), partial(_chordal_interval, G._adj), {}, True)
+        G._adj, (1 << G.n) - 1, operator.index(d), _mask(G, forbidden), partial(_chordal_interval, G._adj), {}, True)
     return None if removed is None else G.labels(removed)
 
 

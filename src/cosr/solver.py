@@ -31,23 +31,27 @@ no solution, so no answer changes: a node with budget b >= 1 whose step 0
 finds more than b overlap components without consecutive ones is refuted,
 as the components are row-disjoint and each needs a deletion; and rule 3
 branches on a core of t rows only with budget t - 2, as at most two core
-rows survive in any consecutive-ones order. When no rule applies, the
-identity augmentation turns the node's rows into the clique matrix of its
-derived graph and the residue is solved exactly as interval vertex
-deletion; a leaf with no budget left fails without a search. Row deletion
-keeps that correspondence, so the leaf search tests its live rows for
-consecutive ones, not the graph for intervality; below a chordal node, a
-scan for asteroidal triples resumed at its parent's stands in for that
-test. A solve builds one augmented graph for its leaves (two, when some
-keep a row labelled -n..-1 and some do not), as adjacency masks and a map
-from graph to row positions; each leaf searches it from its own live mask,
-and the leaves on one graph share one memo of failed deletion sets. Every
-layer below ``cos_r`` takes and returns positions, and labels only break
-ties; only the ``on_leaf`` hook gets a leaf matrix.
+rows survive in any consecutive-ones order. That holds for any minimal
+uncovered set of rows, so at budget >= 1 the pair scan refutes a node the
+moment it lists a clique whose core needs more, and skips the other
+pairs. When no rule applies, the identity augmentation turns the node's
+rows into the clique matrix of its derived graph and the residue is solved
+exactly as interval vertex deletion; a leaf with no budget left fails
+without a search. Row deletion keeps that correspondence, so the leaf
+search tests its live rows for consecutive ones, not the graph for
+intervality; below a chordal node, a scan for asteroidal triples resumed
+at its parent's stands in for that test. A solve builds one augmented
+graph for its leaves (two, when some keep a row labelled -n..-1 and some
+do not), as adjacency masks and a map from graph to row positions; each
+leaf searches it from its own live mask, and the leaves on one graph share
+one memo of failed deletion sets. Every layer below ``cos_r`` takes and
+returns positions, and labels only break ties; only the ``on_leaf`` hook
+gets a leaf matrix.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable
 
@@ -222,7 +226,7 @@ def _solve(
             # clique in at most two vertices. So one pass decides rules 2 and
             # 3, and it stops at the first pair on which ``find_c4`` hits.
             if cliques is None:
-                pair, cliques = _scan_column_pairs(cols, meets, live)
+                pair, cliques = _scan_column_pairs(cols, meets, live, budget)
             else:
                 # A rule-3 child is its parent G minus one row r. Its triples
                 # and pair subgraphs are induced ones of G's, so rule 1 stays
@@ -249,7 +253,9 @@ def _solve(
                 # kept rows; each role fits one row, so at most 2 core
                 # rows survive. Every solution deletes >= k - 2 of the k
                 # core rows, hence at least one of any 3, and a node with
-                # less budget has none.
+                # less budget has none. Only minimality is used, so the pair
+                # scan may apply the bound to any candidate's core; a core
+                # it stops at is the one candidate, and its own pick here.
                 need = uncovered[1].bit_count() - 2
                 branch = sorted(_bits(uncovered[1]), key=ids.__getitem__)[:3]
 
@@ -327,8 +333,9 @@ def cos_r(
     ``on_leaf`` is an optional instrumentation hook invoked with the leaf
     matrix and remaining budget just before each interval-deletion call;
     it is meant for invariant checking in tests and must not mutate its
-    arguments.
+    arguments. ``d`` must be an integer: a float raises ``TypeError``.
     """
+    d = operator.index(d)  # a float would slip past the bounds that compare it
     if d < 0:
         raise ValueError("deletion budget must be non-negative")
     stats = SolveStats()

@@ -181,6 +181,24 @@ def test_count_options_take_ascii_digits_only(command, spelling, tmp_path, capsy
     assert captured.err.startswith("usage:") and "must be an integer >= 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "option, spelling",
+    [("--seed", "\u0662"), ("--seed", "1_0"), ("--density", "\u0661"), ("--density", "0_5")],
+)
+def test_gen_seed_and_density_take_ascii_only(option, spelling, capsys):
+    # ``int`` and ``float`` read "\u0662" (Arabic-Indic two) as 2, "\u0661"
+    # as 1 and "1_0" as 10; the seed and density take ASCII spellings only.
+    argv = {"--rows": "2", "--cols": "3", "--density": "0.5", "--seed": "1", option: spelling}
+    assert run(["gen", *(part for pair in argv.items() for part in pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage:")
+
+
+def test_gen_takes_a_negative_seed(capsys):
+    assert run(["gen", "--rows", "2", "--cols", "3", "--density", "0.5", "--seed", "-7"]) == 0
+    assert capsys.readouterr().out.startswith("2 3\n")
+
+
 def test_missing_file_is_reported(capsys):
     assert run(["check-cop", "/definitely/not/here.txt"]) == 2
     assert "error:" in capsys.readouterr().err

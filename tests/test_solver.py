@@ -17,11 +17,13 @@ from cosr import (
     find_helly_violation,
     find_uncovered_clique,
     half_adjacency,
+    interval_deletion,
     parse_matrix,
     support,
     verify_cop,
 )
 from cosr.cop import _cop_positions
+from cosr.graphs import _incidence, _scan_column_pairs
 from cosr.interval import _chordal_interval, _interval_deletion
 from cosr.matrix import _bits
 from cosr.solver import SolveStats, _find_rule2_cycle, _leaf_graph
@@ -64,6 +66,20 @@ def test_cop_matrix_needs_nothing():
 def test_negative_budget_rejected():
     with pytest.raises(ValueError):
         cos_r(M1, -1)
+
+
+def test_budgets_are_integers():
+    # A float budget is refused before it meets a bound: ``interval_deletion``
+    # read 0.5 as enough for one deletion, and ``cos_r`` answered it through
+    # step 0's bound. ``True`` still counts as 1.
+    cycle = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
+    graph, side = bipartite_from_matrix(M1)
+    for solve in (lambda d: cos_r(M1, d), lambda d: interval_deletion(cycle, d),
+                  lambda d: convex_bipartite_deletion(graph, side, d)):
+        for d in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                solve(d)
+        assert solve(True) == solve(1)
 
 
 def test_verdicts_match_oracle():
@@ -674,6 +690,43 @@ def test_core_leaves_run_mcs_once(monkeypatch):
         assert (stats.rule3, stats.leaves, stats.leaf_nodes) == ((1, 1, count) if found else (1, 0, 0)), (M, d)
 
 
+def test_core_no_roots_list_the_cliques_of_one_column_pair(monkeypatch):
+    # Observes the search: at d = k - 3 a core's first column pair already
+    # lists the whole k-row clique, which no column holds and which is its
+    # own core, so rule 3's bound refutes the root at first sight, after one
+    # maximum-cardinality search instead of one per pair, k(k - 1) / 2. The
+    # root still counts one rule-3 hit and no leaf.
+    import cosr.graphs
+
+    events = []
+    monkeypatch.setattr(cosr.graphs, "_mcs_order", _recording(events, "m", cosr.graphs._mcs_order))
+    for M, d in _core_solves():
+        if d == M.m - 3:
+            events.clear()
+            stats = cos_r(M, d).stats
+            assert len(events) == 1 and (stats.internal_nodes, stats.rule3, stats.leaves) == (1, 1, 0), (M, d)
+
+
+# A 5-row core on columns 0..4, then four rows crossing as an induced C4
+# over columns 5 and 6: the scan lists the core's clique at the first pair,
+# and finds the cycle at pair (5, 6).
+CORE_THEN_C4 = BinaryMatrix(
+    tuple(range(1, 10)), tuple(range(1, 10)),
+    tuple(31 ^ 1 << j for j in range(5)) + (1 << 5 | 1 << 7, 1 << 5 | 1 << 8, 1 << 6 | 1 << 7, 1 << 6 | 1 << 8))
+
+
+def test_the_pair_scan_stops_at_a_core_only_with_budget_below_its_need():
+    # The core needs 3 deletions. At budgets 1 and 2 the scan stops at it and
+    # returns it alone; at budget 3 it scans on, and at budget 0 it keeps
+    # the whole scan, which decides the node's counter: rule 2, not rule 3.
+    cols, meets, *_ = _incidence(CORE_THEN_C4.rows, CORE_THEN_C4.n)
+    live = (1 << CORE_THEN_C4.m) - 1
+    assert [_scan_column_pairs(cols, meets, live, b) for b in range(4)] == [
+        ((5, 6), None), (None, {31}), (None, {31}), ((5, 6), None)]
+    stats = cos_r(CORE_THEN_C4, 0).stats
+    assert (stats.rule2, stats.rule3) == (1, 0)
+
+
 def test_core_leaves_test_each_deletion_set_once():
     # The leaf search reaches one deletion set by many orders, and the
     # leaves of one solve share one memo of the nodes whose subtree failed.
@@ -777,7 +830,7 @@ def test_relabelled_answers_are_byte_identical():
         rules = [a + b for a, b in zip(rules, (report.stats.rule1, report.stats.rule2, report.stats.rule3))]
     assert min(rules) > 200, rules
     assert texts.hexdigest()[:16] == "72aa399a80bb9960"
-    assert answers.hexdigest()[:16] == "8cc3967e4553c23e"
+    assert answers.hexdigest()[:16] == "aac3be35be931524"
 
 
 def test_shifted_identity_labels_answers_are_byte_identical():
@@ -796,7 +849,7 @@ def test_shifted_identity_labels_answers_are_byte_identical():
         leaves += report.stats.leaves
     assert leaves > 200, leaves
     assert texts.hexdigest()[:16] == "67edf120df8c4d5e"
-    assert answers.hexdigest()[:16] == "7e35cbe04b84d30f"
+    assert answers.hexdigest()[:16] == "37ab81af18e5d762"
 
 
 def test_the_search_converts_no_labels(monkeypatch):
@@ -815,8 +868,8 @@ def test_the_search_converts_no_labels(monkeypatch):
     monkeypatch.setattr(cosr.graphs.Graph, "labels", refuse)
     for solves, pinned_texts, pinned, more_than in (
             (_core_solves(), "666f38958ded5f5d", "4eeaa0ac10577e09", 9),
-            (_relabelled_solves(), "72aa399a80bb9960", "8cc3967e4553c23e", 30),
-            (_relabelled_solves(shifted=True), "67edf120df8c4d5e", "7e35cbe04b84d30f", 30)):
+            (_relabelled_solves(), "72aa399a80bb9960", "aac3be35be931524", 30),
+            (_relabelled_solves(shifted=True), "67edf120df8c4d5e", "37ab81af18e5d762", 30)):
         answers, texts, leaves = hashlib.sha256(), hashlib.sha256(), 0
         for M, d in solves:
             report = cos_r(M, d)

@@ -3,11 +3,13 @@ complement-of-identity cores, rule-2 cycles and convex bipartite graphs,
 each with noise rows and with all-zero rows and columns mixed in: the
 verdicts and the optimum ignore row and column order, a duplicated row
 never lowers the optimum, every YES certificate verifies, and the answer
-is the brute-force one, and a rule-3 child's inherited cliques are the
-ones its own pair scan lists. Matrices stay at oracle sizes: m <= 10,
-n <= 12, d <= 3. Planted copies of Tucker's families, whose optimum is
-known, go past those sizes."""
+is the brute-force one, a rule-3 child's inherited cliques are the ones
+its own pair scan lists, and a pair scan stops early only at nodes with no
+solution. Matrices stay at oracle sizes: m <= 10, n <= 12, d <= 3.
+Planted copies of Tucker's families, whose optimum is known, go past
+those sizes."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -239,3 +241,48 @@ def test_rule3_children_inherit_the_cliques_their_scan_lists(M):
         cosr.solver._inherited_cliques = inner
     if M == CORES_6_4:
         assert len(checked) > 3
+
+
+@PROPERTY
+@given(st.one_of(matrices(), matrices(core())), st.randoms(use_true_random=False))
+@example(CORES_6_4, random.Random(1))
+def test_a_pair_scan_stops_only_at_nodes_without_a_solution(M, rng):
+    # Rule 3's bound at first sight: at budget b >= 1, the pair scan stops at
+    # the first listed clique whose greedy core has t > b + 2 rows. Each scan
+    # of the search is spied on, under M's labels and under a drawn
+    # relabelling, and compared with the whole scan of the same live rows.
+    # Where they differ, the scan returned its core alone: the node has no
+    # solution within its budget, by brute force, and no 3 core rows have
+    # COP. Patched by hand: hypothesis reruns the body per example.
+    import cosr.solver
+
+    inner, stops = cosr.solver._scan_column_pairs, []
+
+    def spy(cols, meets, live, budget):
+        got = inner(cols, meets, live, budget)
+        if got != inner(cols, meets, live, 0):
+            stops.append((live, budget, got))
+        return got
+
+    labels = list(M.row_ids)
+    rng.shuffle(labels)
+    relabelled = BinaryMatrix(tuple(labels), M.col_ids, M.rows)
+    cosr.solver._scan_column_pairs = spy
+    try:
+        for matrix in (M, relabelled):
+            for d in range(MAX_D + 1):
+                cos_r(matrix, d)
+    finally:
+        cosr.solver._scan_column_pairs = inner
+    for live, budget, (pair, found) in stops:
+        assert budget >= 1 and pair is None and len(found) == 1, (M, live, budget)
+        (core_mask,) = found
+        assert core_mask & ~live == 0 and core_mask.bit_count() - 2 > budget
+        kept = [M.row_ids[p] for p in range(M.m) if live >> p & 1]
+        node = delete_rows(M, set(M.row_ids) - set(kept))
+        assert brute_cosr(node, budget) is None, (M, live, budget)
+        core_rows = [M.row_ids[p] for p in range(M.m) if core_mask >> p & 1]
+        for rows in combinations(core_rows, 3):
+            assert brute_cosr(delete_rows(M, set(M.row_ids) - set(rows)), 0) is None, (M, rows)
+    if M == CORES_6_4:
+        assert len(stops) == 4  # both label sets, at d = 2 and 3
