@@ -102,31 +102,27 @@ class HellyViolation:
 
 
 def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[int], int, list[int]]:
-    """Row incidence masks over the positions in ``rows``, and their copy links.
+    """Row incidence masks over the positions in ``rows``, and their copies.
 
     ``cols[c]`` has bit r when row r holds column c, and ``meets[r]`` has
     bit s when rows r and s share a column; a nonempty row meets itself.
     ``cand[r]`` has bit s when rows r and s meet and s lacks a column of r.
-    Equal rows have equal ``meets`` and ``cand``, so each distinct row is
-    read once and its positions share its two masks. ``firsts`` masks the
-    first copy of each distinct row, and ``later_copy[r]`` is the position
-    of the next row equal to row r, or -1.
+    ``copies[r]`` has bit s when rows r and s are equal, and ``firsts``
+    masks the first copy of each distinct row. Equal rows have equal
+    ``meets``, ``cand`` and ``copies``, so each distinct row is read once
+    and its positions share its three masks.
     """
-    copies: dict[int, list[int]] = {}  # each distinct row: the positions holding it, and the latest
-    later_copy = [-1] * len(rows)
-    firsts = 0
+    groups: dict[int, list[int]] = {}  # each distinct row: its copies, then its ``meets`` and ``cand``
+    group_of = []  # each position's group, so that no row is hashed twice
     for r, mask in enumerate(rows):
-        seen = copies.get(mask)
-        if seen is None:
-            firsts |= 1 << r
-            copies[mask] = [1 << r, r]
-        else:
-            later_copy[seen[1]] = r
-            seen[0] |= 1 << r
-            seen[1] = r
+        group = groups.setdefault(mask, [0])
+        group[0] |= 1 << r
+        group_of.append(group)
     cols = [0] * n
     supports = []
-    for mask, (at, _) in copies.items():  # each distinct row's support, and its bits in ``cols``
+    firsts = 0
+    for mask, (at,) in groups.items():  # each distinct row's first copy, support, and bits in ``cols``
+        firsts |= at & -at
         support_r = []
         while mask:
             low = mask & -mask
@@ -135,14 +131,13 @@ def _incidence(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[
             cols[c] |= at
             mask ^= low
         supports.append(support_r)
-    meets, cand = {}, {}
-    for mask, support_r in zip(copies, supports):
+    for group, support_r in zip(groups.values(), supports):
         meet, common = 0, -1
         for c in support_r:
             meet |= cols[c]
             common &= cols[c]
-        meets[mask], cand[mask] = meet, meet & ~common
-    return cols, [*map(meets.__getitem__, rows)], [*map(cand.__getitem__, rows)], firsts, later_copy
+        group += meet, meet & ~common
+    return cols, [g[1] for g in group_of], [g[2] for g in group_of], firsts, [g[0] for g in group_of]
 
 
 def derived_graph(M: BinaryMatrix) -> Graph:
@@ -183,15 +178,12 @@ def _helly_scan(rows: Sequence[int], cand: list[int], live: int) -> tuple[tuple[
     return None
 
 
-def _first_live_copies(live: int, firsts: int, later_copy: list[int]) -> int:
+def _first_live_copies(live: int, firsts: int, copies: list[int]) -> int:
     """The first copy in ``live`` of each row that has one there."""
     reps = live & firsts
     for first in _bits(firsts & ~live):  # the deleted first copies, at most d
-        p = later_copy[first]
-        while p >= 0 and not live >> p & 1:
-            p = later_copy[p]
-        if p >= 0:
-            reps |= 1 << p
+        later = copies[first] & live
+        reps |= later & -later
     return reps
 
 

@@ -21,6 +21,7 @@ from .matrix import BinaryMatrix, _bits, delete_rows
 
 _MAX_BRUTE_COLS = 14
 _MAX_COSR_SUBSETS = 500_000
+_MAX_INTERVAL_SUBSETS = 50_000
 _MAX_CLIQUE_VERTICES = 16
 
 
@@ -118,6 +119,9 @@ def brute_interval_deletion(G: Graph, d: int) -> frozenset[int] | None:
     graph; lexicographically first among equals; None if none."""
     if G.n > 12 and d > 3:
         raise GuardError(f"brute_interval_deletion refuses n={G.n} with d={d}")
+    total = sum(comb(G.n, k) for k in range(min(d, G.n) + 1))
+    if total > _MAX_INTERVAL_SUBSETS:
+        raise GuardError(f"brute_interval_deletion refuses {total} deletion subsets")
     for k in range(min(d, G.n) + 1):
         for combo in combinations(G.vertices, k):
             if is_interval(G.without(combo)):

@@ -177,15 +177,14 @@ def _solve(
     # no budget left is not refuted here; its rules decide its counters.
     if 0 < d < found:
         return None
-    cols, meets, cand, firsts, later_copy = _incidence(M.rows, M.n)
+    cols, meets, cand, firsts, copies = _incidence(M.rows, M.n)
     stack: list[tuple[int, int, Collection[int] | None]] = [(full, 0, None)]
     leaf_graphs: dict[bool, _LeafGraph] = {}
     while stack:
         live, helly_start, cliques = stack.pop()
         budget = d - (full ^ live).bit_count()  # ``full ^ live`` are the rows deleted on its path
-        # Rule 1 reads ``reps``, the first live copy of each live row, or
-        # ``live`` when no row repeats. Lemma: the scan over ``reps`` finds
-        # the triple it finds over ``live``.
+        # Rule 1 reads ``reps``, the first live copy of each live row. Lemma:
+        # the scan over ``reps`` finds the triple it finds over ``live``.
         # - A triple with two equal rows holds a nested pair, so it is clean.
         # - Take the first violating triple of the live rows, and suppose one
         #   of its rows had an earlier live copy x'. Swapping x' in gives a
@@ -195,7 +194,7 @@ def _solve(
         #   lemma (below) rules out. So the first triple holds first live
         #   copies only, and every triple over ``reps`` is one over ``live``.
         # The node stays its live mask; only the scan reads ``reps``.
-        reps = live if firsts == full else _first_live_copies(live, firsts, later_copy)
+        reps = _first_live_copies(live, firsts, copies)
         # Rule 1's resumed scan goes first, then step 0 below the root: rows
         # with the property are intervals of one column order, and
         # pairwise-meeting intervals form no H1 or H2 triple, so after a hit

@@ -109,6 +109,14 @@ def test_interval_deletion_command(tmp_path, capsys):
     assert capsys.readouterr().out == "NO\n"
 
 
+def test_oracle_interval_deletion_refuses_many_subsets(tmp_path, capsys):
+    p = tmp_path / "edgeless.txt"
+    p.write_text("200 0\n")
+    assert run(["oracle", "interval-deletion", "--d", "3", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_convex_bipartite_command(tmp_path, capsys):
     p = tmp_path / "bip.txt"
     p.write_text(BIPARTITE_M1)

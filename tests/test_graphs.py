@@ -315,16 +315,22 @@ def test_helly_scan_over_first_live_copies_finds_the_live_hit():
     # Rule 1 scans ``_first_live_copies``: the first live copy of each row.
     # Nodes follow the rule-1 branch tree three levels down with the
     # solver's resume starts (0 at the root, the parent's first hit row
-    # below it), and random live masks lacking up to 3 rows start at 0.
+    # below it), random live masks lacking up to 3 rows start at 0, and so
+    # do nodes lacking every copy of a row, and one more row. Families with
+    # no repeated row are in too: there every first copy is the only one.
     rng = random.Random(67)
-    seen = {"hit": 0, "clean": 0, "hit through a later copy": 0}
-    for t in range(240):
-        n = 4 + t % 4
-        rows = _copied_rows(rng, n, 3 + t % 6, 2, 4)
-        _, _, cand, firsts, later_copy = _incidence(rows, n)
+    families = [_copied_rows(rng, 4 + t % 4, 3 + t % 6, 2, 4) for t in range(240)]
+    families += [_copied_rows(rng, 4 + t % 4, 3 + t % 6, 1, 1) for t in range(120)]
+    seen = Counter()
+    for rows in families:
+        n = max(rows).bit_length()
+        _, _, cand, firsts, copies = _incidence(rows, n)
         full = (1 << len(rows)) - 1
         nodes = [(full & ~sum(1 << p for p in rng.sample(range(len(rows)), rng.randint(1, 3))), 0)
                  for _ in range(4)]
+        for _ in range(2):
+            gone = full & ~copies[rng.randrange(len(rows))]
+            nodes += [(gone, 0), (gone & ~(1 << rng.choice([*_bits(gone)])), 0)]
         frontier = [(full, 0)]
         for _ in range(4):
             deeper = []
@@ -335,7 +341,7 @@ def test_helly_scan_over_first_live_copies_finds_the_live_hit():
                     deeper += [(live & ~(1 << p), hit[0][0]) for p in hit[0]]
             frontier = deeper
         for live, start in nodes:
-            reps = _first_live_copies(live, firsts, later_copy)
+            reps = _first_live_copies(live, firsts, copies)
             first_at = {}
             for p in _bits(live):
                 first_at.setdefault(rows[p], p)
@@ -344,6 +350,8 @@ def test_helly_scan_over_first_live_copies_finds_the_live_hit():
             assert _helly_scan(rows, cand, reps & -(1 << start)) == want, (rows, live, start)
             seen["clean" if want is None else "hit"] += 1
             seen["hit through a later copy"] += want is not None and any(not firsts >> p & 1 for p in want[0])
+            seen["no repeated row"] += firsts == full
+            seen["a row with no live copy"] += len(first_at) < len(set(rows))
     assert min(seen.values()) > 500, seen
 
 
@@ -362,10 +370,10 @@ def test_incidence_shares_masks_across_copies():
     assert all(2 * len(set(rows)) < len(rows) for rows in families)
 
 
-def test_incidence_copy_links_match_their_definition():
-    # ``firsts`` masks each row's first occurrence and ``later_copy[r]`` is
-    # the next position holding row r's mask, or -1: on random matrices with
-    # repeated rows, all-zero rows, no rows, and no columns.
+def test_incidence_copy_masks_match_their_definition():
+    # ``firsts`` masks each row's first occurrence and ``copies[r]`` the
+    # positions holding row r's mask: on random matrices with repeated rows,
+    # all-zero rows, no rows, and no columns.
     rng = random.Random(69)
     seen = Counter()
     for t in range(400):
@@ -373,10 +381,9 @@ def test_incidence_copy_links_match_their_definition():
         rows = [rng.getrandbits(n) if rng.random() < 0.6 else 0 for _ in range(m)]
         rows += [rng.choice(rows) for _ in range(rng.randint(0, 4) if rows else 0)]
         rng.shuffle(rows)
-        _, _, _, firsts, later_copy = _incidence(rows, n)
+        _, _, _, firsts, copies = _incidence(rows, n)
         assert firsts == sum(1 << r for r, x in enumerate(rows) if x not in rows[:r]), rows
-        assert later_copy == [next((s for s in range(r + 1, len(rows)) if rows[s] == x), -1)
-                              for r, x in enumerate(rows)], rows
+        assert copies == [sum(1 << s for s, y in enumerate(rows) if y == rows[r]) for r in range(len(rows))], rows
         seen["repeats"] += len(set(rows)) < len(rows)
         seen["zero rows"] += rows.count(0) > 1
         seen["no columns"] += n == 0 and len(rows) > 1

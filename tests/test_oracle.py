@@ -94,6 +94,15 @@ def test_brute_interval_deletion_examples():
         brute_interval_deletion(Graph(range(1, 14)), 4)
 
 
+def test_brute_interval_deletion_refuses_many_subsets():
+    # The guard counts deletion subsets at any d: 200 vertices at d = 3 make
+    # 1,333,501, and a NO graph would try them all. This graph is edgeless,
+    # so a call that passed the guard would answer at once, not hang.
+    with pytest.raises(GuardError, match="1333501 deletion subsets"):
+        brute_interval_deletion(Graph(range(1, 201)), 3)
+    assert brute_interval_deletion(Graph(range(1, 201)), 1) == frozenset()
+
+
 def test_brute_maximal_cliques_examples():
     k3 = Graph(range(1, 4), [(1, 2), (1, 3), (2, 3)])
     assert brute_maximal_cliques(k3) == [frozenset({1, 2, 3})]
